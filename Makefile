@@ -11,7 +11,7 @@ RACE_PKGS := ./internal/core/... ./internal/search/... ./internal/graph/... ./in
 COVER_PKGS := repro/internal/server repro/internal/refresh repro/internal/shard repro/internal/index repro/internal/postprocess repro/internal/transport repro/internal/wal repro/internal/persist repro/internal/resilience repro/internal/faultinject
 COVER_MIN := 75
 
-.PHONY: build test race vet fmt-check bench-smoke bench-shard bench-refresh bench-refresh-smoke bench-recovery bench-recovery-smoke bench-search bench-search-smoke bench-replica bench-replica-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke run-cluster check clean
+.PHONY: build test race vet fmt-check bench-smoke bench-shard bench-refresh bench-refresh-smoke bench-recovery bench-recovery-smoke bench-search bench-search-smoke bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke run-cluster check clean
 
 build:
 	$(GO) build ./...
@@ -85,20 +85,11 @@ bench-search:
 bench-search-smoke:
 	$(GO) run ./cmd/loadgen -short -out BENCH_search_smoke.json
 
-# Replicated-read gate: each shard served by a primary plus two
-# replicas behind slot-bound capacity gates. Fails unless K×3 mixed
-# read throughput is ≥2x K×1 at no worse tail latency, hedged requests
-# cut the p99 of a tail-at-scale stall scenario ≥3x versus hedging
-# disabled, and no read ever observes a generation regression; writes
-# the evidence to BENCH_replica.json.
-bench-replica:
-	$(GO) run ./cmd/replicabench -out BENCH_replica.json
-
-# CI smoke version: small graph, short legs, monotonicity + floor +
-# hedge-activity gates enforced, speedup/tail ratios reported but not
-# judged.
-bench-replica-smoke:
-	$(GO) run ./cmd/replicabench -short -out BENCH_replica_smoke.json
+# End-to-end benchmark smoke (benchmark/, declared in BENCHMARK.json):
+# every workload briefly against real ocad processes on a 2k-node graph
+# — answers checked, metric schema checked, nothing timed.
+bench-e2e-smoke:
+	$(GO) run ./benchmark -smoke
 
 # Short fuzz runs over the untrusted-input parsers. The checked-in seed
 # corpus (internal/graph/testdata/fuzz) always runs under plain `make
@@ -173,4 +164,4 @@ examples:
 check: build vet fmt-check test race cover-check examples
 
 clean:
-	rm -f BENCH_smoke.json BENCH_refresh_smoke.json BENCH_recovery.json BENCH_recovery_smoke.json BENCH_search_smoke.json BENCH_replica_smoke.json cover.txt
+	rm -f BENCH_smoke.json BENCH_refresh_smoke.json BENCH_recovery.json BENCH_recovery_smoke.json BENCH_search_smoke.json cover.txt

@@ -21,9 +21,10 @@
 // Each shard may additionally be served by read replicas: `-follow`
 // starts a process that mirrors a primary shard server over the same
 // snapshot resolution a router uses and re-serves it read-only, and the
-// router's `-replica-addrs` fans reads out across each shard's replica
-// set (least-loaded selection, generation-floor routing, hedged
-// requests) while writes keep going to the primaries only.
+// router's `-replica-addrs` has it mirror each shard's replicas beside
+// the primary, so reads keep answering (from a sufficiently fresh
+// mirror) while a primary is dead or broken; writes go to the primaries
+// only.
 //
 // Usage:
 //
@@ -116,8 +117,7 @@ func run(args []string) error {
 	pollInterval := fs.Duration("shard-poll-interval", 100*time.Millisecond, "router role: shard generation poll cadence")
 	shardReqTimeout := fs.Duration("shard-request-timeout", 0, "router and replica roles: per-RPC deadline against shard servers (0 = default 5s)")
 	follow := fs.String("follow", "", "replica role: mirror this primary shard server and re-serve it read-only behind the wire protocol")
-	replicaAddrs := fs.String("replica-addrs", "", "router role: per-shard replica lists, ';' between shards and ',' within (e.g. \"r0a,r0b;r1a\"); reads fan out across each shard's primary+replicas")
-	hedgeFraction := fs.Float64("hedge-fraction", 0.05, "router role with -replica-addrs: budget for hedged (backup) reads as a fraction of all reads (negative = disable hedging)")
+	replicaAddrs := fs.String("replica-addrs", "", "router role: per-shard replica lists, ';' between shards and ',' within (e.g. \"r0a,r0b;r1a\"); the router mirrors them beside each primary so reads survive a dead primary")
 	faultPlan := fs.String("fault-plan", "", "DEV ONLY: JSON fault-injection plan (docs/OPERATIONS.md) applied to this process's HTTP surface; also serves the runtime "+faultinject.ControlPath+" control endpoint")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -187,7 +187,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return runRouter(cfg, strings.Split(*shardAddrs, ","), replicas, *hedgeFraction, *shards, *in,
+		return runRouter(cfg, strings.Split(*shardAddrs, ","), replicas, *shards, *in,
 			*addr, *addrFile, *connectTimeout, *pollInterval, *shardReqTimeout, *shutdownTimeout, inj)
 	}
 	if *in == "" {
@@ -381,7 +381,7 @@ func parseReplicaAddrs(s string, k int) ([][]string, error) {
 
 // runReplica is the replica role: mirror one primary shard server over
 // the snapshot resolution and re-serve it read-only behind the same
-// wire surface, so routers can fan reads out to it.
+// wire surface, so routers can mirror it beside its primary.
 func runReplica(primary, addr, addrFile string, connectTimeout, pollInterval, reqTimeout, shutdownTimeout time.Duration, inj *faultinject.Injector) error {
 	log.Printf("following primary %s...", primary)
 	start := time.Now()
@@ -409,7 +409,7 @@ func runReplica(primary, addr, addrFile string, connectTimeout, pollInterval, re
 // assemble a remote-backed provider, and serve the public API over it.
 // The graph lives in the shard processes; -in is accepted but unused
 // beyond a consistency log line.
-func runRouter(cfg server.Config, addrs []string, replicas [][]string, hedgeFraction float64, shardsFlag int, in, addr, addrFile string, connectTimeout, pollInterval, reqTimeout time.Duration, shutdownTimeout time.Duration, inj *faultinject.Injector) error {
+func runRouter(cfg server.Config, addrs []string, replicas [][]string, shardsFlag int, in, addr, addrFile string, connectTimeout, pollInterval, reqTimeout time.Duration, shutdownTimeout time.Duration, inj *faultinject.Injector) error {
 	if shardsFlag > 1 && shardsFlag != len(addrs) {
 		return fmt.Errorf("-shards %d disagrees with %d -shard-addrs", shardsFlag, len(addrs))
 	}
@@ -427,7 +427,6 @@ func runRouter(cfg server.Config, addrs []string, replicas [][]string, hedgeFrac
 		ConnectTimeout: connectTimeout,
 		MaxPending:     cfg.MaxPendingMutations,
 		Replicas:       replicas,
-		Replication:    shard.ReplicaSetConfig{HedgeFraction: hedgeFraction},
 	})
 	if err != nil {
 		return err

@@ -78,21 +78,16 @@ func hasEffectiveAdd(g *graph.Graph, ops []op) bool {
 }
 
 // touchedCommunities returns the sorted distinct communities of ix
-// containing any of the touched nodes.
+// containing any of the touched nodes (ascending for free: one pass
+// over the flag array).
 func touchedCommunities(ix *index.Membership, touched []int32) []int32 {
 	seen := make([]bool, ix.NumCommunities())
-	var out []int32
 	for _, v := range touched {
 		for _, ci := range ix.Communities(v) {
-			if !seen[ci] {
-				seen[ci] = true
-				out = append(out, ci)
-			}
+			seen[ci] = true
 		}
 	}
-	// Recover ascending order with one pass over the flags instead of a
-	// sort (out is small but unordered: touched nodes interleave ids).
-	out = out[:0]
+	var out []int32
 	for ci, s := range seen {
 		if s {
 			out = append(out, int32(ci))

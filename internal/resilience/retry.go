@@ -116,9 +116,12 @@ func NewRetryer(cfg RetryConfig, budget *Budget) *Retryer {
 
 // Do runs op, retrying while retryable(err) is true, the budget and
 // attempt cap allow, and ctx is alive. The returned error is the last
-// attempt's. Backoff never sleeps past ctx's deadline: when the
-// remaining budget cannot cover the delay, the last error is returned
-// immediately instead of burning the caller's deadline in a sleep.
+// attempt's. Backoff never sleeps past ctx's deadline, and the decision
+// is made on the delay actually drawn, not on its ceiling: a jittered
+// delay that fits inside the remaining deadline sleeps and retries; one
+// that does not returns the last error immediately, without sleeping,
+// instead of burning the caller's deadline. A short deadline therefore
+// may or may not see a retry, depending on the draw.
 func (r *Retryer) Do(ctx context.Context, retryable func(error) bool, op func() error) error {
 	delay := r.cfg.BaseDelay
 	for attempt := 1; ; attempt++ {

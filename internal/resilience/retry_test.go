@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,18 +119,45 @@ func TestRetryRespectsContext(t *testing.T) {
 		t.Fatalf("canceled ctx: %v after %d calls, want 1 call", err, calls)
 	}
 
-	// A deadline shorter than the backoff returns immediately instead
-	// of sleeping into it.
-	dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	// The deadline contract, on both sides of a known draw: re-seeding a
+	// retryer's jitter source fixes its next delay (the same seed replayed
+	// beside it says what that delay is).
+	nextDraw := func(r *Retryer) time.Duration {
+		const seed = 1
+		r.rng = rand.New(rand.NewSource(seed))
+		return time.Duration(rand.New(rand.NewSource(seed)).Int63n(int64(r.cfg.BaseDelay))) + 1
+	}
+
+	// A deadline the drawn delay does not fit inside returns the last
+	// error immediately, without sleeping into it: one call. (Seconds-long
+	// delays make "did not sleep" unmistakable.)
+	slow := NewRetryer(RetryConfig{MaxAttempts: 10, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second}, nil)
+	d := nextDraw(slow)
+	dctx, dcancel := context.WithTimeout(context.Background(), d/2)
 	defer dcancel()
 	start := time.Now()
 	calls = 0
-	err = r.Do(dctx, transientOnly, func() error { calls++; return errTransient })
+	err = slow.Do(dctx, transientOnly, func() error { calls++; return errTransient })
 	if !errors.Is(err, errTransient) || calls != 1 {
-		t.Fatalf("deadline ctx: %v after %d calls, want 1 call", err, calls)
+		t.Fatalf("deadline %v < delay %v: %v after %d calls, want 1 call", d/2, d, err, calls)
 	}
-	if elapsed := time.Since(start); elapsed > 40*time.Millisecond {
-		t.Fatalf("Do slept %v into a 5ms deadline", elapsed)
+	if elapsed := time.Since(start); elapsed >= d/2 {
+		t.Fatalf("Do slept %v into a %v deadline", elapsed, d/2)
+	}
+
+	// A deadline the drawn delay fits inside does retry: two calls.
+	d = nextDraw(r)
+	fctx, fcancel := context.WithTimeout(context.Background(), d+10*time.Second)
+	defer fcancel()
+	calls = 0
+	err = r.Do(fctx, transientOnly, func() error {
+		if calls++; calls == 1 {
+			return errTransient
+		}
+		return nil
+	})
+	if err != nil || calls != 2 {
+		t.Fatalf("deadline > delay %v: %v after %d calls, want success on call 2", d, err, calls)
 	}
 }
 

@@ -5,11 +5,16 @@ package server
 //
 // The cache key includes the (shard, generation) the search ran over,
 // so invalidation on publish is free — entries of a superseded
-// generation simply stop being hit and age out of the size-bounded LRU
-// (a publish also prunes them eagerly). N concurrent requests for the
-// same (seed, params, generation) run ONE underlying search: the first
-// becomes the flight leader, the rest wait on its result instead of
-// burning pool workers on identical work.
+// generation simply stop being hit and age out of the size-bounded LRU.
+// In-process providers (the local worker, the in-process router's shard
+// workers) additionally announce each publish, which prunes the shard's
+// superseded entries eagerly and carries survivors forward; the
+// multi-process router role has no publish hook — its shards rebuild in
+// other processes — and relies on the LRU alone.
+//
+// N concurrent requests for the same (seed, params, generation) run ONE
+// underlying search: the first becomes the flight leader, the rest wait
+// on its result instead of burning pool workers on identical work.
 //
 // On fastpath and incremental publishes the previous generation's
 // entries are not discarded wholesale: refresh.Snapshot.Dirty says
@@ -116,6 +121,25 @@ type searchCache struct {
 	carryDropped atomic.Uint64
 	evicted      atomic.Uint64
 	stalePruned  atomic.Uint64
+}
+
+// cacheFromConfig sizes the cache from Config.SearchCacheSize and
+// SearchCacheRho; nil means caching is disabled.
+func cacheFromConfig(cfg Config) *searchCache {
+	if cfg.SearchCacheSize < 0 {
+		return nil
+	}
+	size, rho := cfg.SearchCacheSize, cfg.SearchCacheRho
+	if size == 0 {
+		size = defaultSearchCacheSize
+	}
+	if rho == 0 {
+		rho = defaultSearchCacheRho
+	}
+	if rho > 1 {
+		rho = 1
+	}
+	return newSearchCache(size, rho)
 }
 
 func newSearchCache(capacity int, rhoFloor float64) *searchCache {
@@ -331,13 +355,20 @@ func (sc *searchCache) stats() searchCacheStats {
 	return st
 }
 
-// cacheSpotCheck returns the carry-forward validator for one publish:
+// onPublish is the provider-side publish hook (shard.Config.OnSwap and
+// the local provider's equivalent): it runs carryForward for the
+// publishing shard on that shard's rebuild goroutine.
+func (sc *searchCache) onPublish(shardID int, snap *refresh.Snapshot) {
+	sc.carryForward(shardID, snap, spotChecker(shardID, snap))
+}
+
+// spotChecker returns the carry-forward validator for one publish:
 // recompute an entry's search fresh over the new snapshot with the
 // entry's own parameters and rng stream, rendered exactly as the
 // request path would render it. One search.State is built lazily and
 // reused across the publish's checks (they run serially on the rebuild
 // goroutine, never through the request pool).
-func (s *Server) cacheSpotCheck(shardID int, snap *refresh.Snapshot) func(searchKey, *searchEntry) (*searchEntry, bool) {
+func spotChecker(shardID int, snap *refresh.Snapshot) func(searchKey, *searchEntry) (*searchEntry, bool) {
 	var st *search.State
 	return func(key searchKey, e *searchEntry) (*searchEntry, bool) {
 		g := snap.Graph
@@ -349,22 +380,18 @@ func (s *Server) cacheSpotCheck(shardID int, snap *refresh.Snapshot) func(search
 		}
 		rng := rand.New(rand.NewSource(e.rngUsed))
 		local, fitness := core.FindCommunityWith(g, st, e.localSeed, e.c, rng, e.opt)
-		resp := SearchResponse{
-			Seed:       key.seed,
-			C:          e.c,
-			Size:       len(local),
-			Fitness:    fitness,
-			Members:    local,
-			Generation: snap.Gen,
-		}
-		if s.sharded() {
-			v := shard.View{Shard: shardID, Snap: snap}
-			resp.Members = v.Members(local)
-			sh := shardID
-			resp.Shard = &sh
-		}
 		return &searchEntry{
-			resp:      resp,
+			resp: SearchResponse{
+				Seed:    key.seed,
+				C:       e.c,
+				Size:    len(local),
+				Fitness: fitness,
+				// Translates through the new snapshot's own table; identity
+				// (and no shard tag) when the entry was rendered unsharded.
+				Members:    shard.View{Shard: shardID, Snap: snap}.Members(local),
+				Shard:      e.resp.Shard,
+				Generation: snap.Gen,
+			},
 			local:     local,
 			localSeed: e.localSeed,
 			c:         e.c,

@@ -140,7 +140,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) edgesResponse(queued int, vec shard.GenVector, applied bool) EdgesResponse {
 	resp := EdgesResponse{Queued: queued, Generation: vec.Max(), Applied: applied}
-	if s.sharded() {
+	if shardedShape(s.peekViews()) {
 		resp.Shards = vec
 	}
 	return resp
@@ -222,16 +222,15 @@ func (s *Server) handleBatchCommunities(w http.ResponseWriter, r *http.Request) 
 		ids = ids[:s.cfg.MaxBatchIDs]
 		clamped = true
 	}
+	vec := shard.VectorOf(views)
 	resp := batchCommunitiesResponse{
-		Count:   len(ids),
-		Clamped: clamped,
-		Results: make([]batchResult, len(ids)),
+		Generation: vec.Max(),
+		Count:      len(ids),
+		Clamped:    clamped,
+		Results:    make([]batchResult, len(ids)),
 	}
-	if s.sharded() {
-		resp.Shards = shard.VectorOf(views)
-		resp.Generation = resp.Shards.Max()
-	} else {
-		resp.Generation = views[0].Snap.Gen
+	if shardedShape(views) {
+		resp.Shards = vec
 	}
 	for i, v := range ids {
 		if v < 0 {
@@ -259,25 +258,19 @@ func (s *Server) handleBatchCommunities(w http.ResponseWriter, r *http.Request) 
 		resp.Results[i] = res
 	}
 	if req.Shared {
-		s.fillShared(&resp, views, ids)
+		fillShared(&resp, views, ids)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // fillShared answers the "which groups do all these people share?"
-// option. Unsharded, it is one index intersection. Sharded, each shard
-// intersects over its own (owned + ghost) membership — ids unknown to a
-// shard empty that shard's intersection — and the union of surviving
-// shard-scoped communities is reported.
-func (s *Server) fillShared(resp *batchCommunitiesResponse, views []shard.View, ids []int32) {
-	if !s.sharded() {
-		shared := views[0].Snap.Index.Common(ids)
-		if shared == nil {
-			shared = []int32{}
-		}
-		resp.Shared = &shared
-		return
-	}
+// option: each view intersects over its own (owned + ghost) membership —
+// ids unknown to a view empty that view's intersection — and the union
+// of surviving communities is reported, shard-scoped in the sharded
+// shape (a boundary community can hold all the ids even when they live
+// on different shards, because halos include ghost members), as bare
+// community ids otherwise.
+func fillShared(resp *batchCommunitiesResponse, views []shard.View, ids []int32) {
 	refs := []communityRef{}
 	locals := make([]int32, len(ids))
 	for _, view := range views {
@@ -297,7 +290,15 @@ func (s *Server) fillShared(resp *batchCommunitiesResponse, views []shard.View, 
 			refs = append(refs, communityRefFor(view, ci, false))
 		}
 	}
-	resp.SharedRefs = &refs
+	if shardedShape(views) {
+		resp.SharedRefs = &refs
+		return
+	}
+	shared := make([]int32, len(refs))
+	for i, ref := range refs {
+		shared[i] = ref.ID
+	}
+	resp.Shared = &shared
 }
 
 // exportMeta is the first NDJSON line of /v1/cover/export.
@@ -327,13 +328,13 @@ type exportCommunity struct {
 const exportFlushEvery = 256
 
 // handleExport streams the whole served cover as NDJSON: one meta line
-// (generation, dimensions), then one line per community, shard by shard
-// on sharded servers. Views are loaded once, so the export is a
-// consistent view of exactly one generation per shard even while
-// rebuilds publish newer ones mid-stream. With ?generation=N on a
-// server with a data directory, a retained snapshot segment serves that
-// past generation instead of the live state. Mounted outside the
-// TimeoutHandler, which would buffer the entire body.
+// (generation, dimensions), then one line per community, shard by
+// shard. Views are loaded once, so the export is a consistent view of
+// exactly one generation per shard even while rebuilds publish newer
+// ones mid-stream. With ?generation=N on a server with a data
+// directory, a retained snapshot segment serves that past generation
+// instead of the live state. Mounted outside the TimeoutHandler, which
+// would buffer the entire body.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if genStr := r.URL.Query().Get("generation"); genStr != "" {
 		s.handleExportGeneration(w, r, genStr)
@@ -344,30 +345,61 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "building cover: %v", err)
 		return
 	}
-	meta := exportMeta{}
-	if s.sharded() {
-		meta.Shards = shard.VectorOf(views)
-		for _, v := range views {
-			if v.Err != nil || v.Snap == nil {
-				// A degraded shard's communities are omitted from the
-				// stream; its vector entry carries the error so the
-				// consumer knows the export is partial.
-				continue
-			}
-			m := v.Meta()
-			meta.Nodes += m.OwnedNodes
-			meta.Edges += m.OwnedEdges
-			meta.Communities += v.Snap.Cover.Len()
+	streamExport(w, r, views)
+}
+
+// handleExportGeneration answers a point-in-time export: the requested
+// generation is served from a retained snapshot segment (or from the
+// live snapshot when it is the current, not-yet-sealed one). Single-node
+// only — sharded servers have no single global generation to pin.
+func (s *Server) handleExportGeneration(w http.ResponseWriter, r *http.Request, genStr string) {
+	if shardedShape(s.peekViews()) {
+		writeError(w, http.StatusBadRequest, "point-in-time export is not supported on sharded servers")
+		return
+	}
+	p := s.cfg.Persist
+	if p == nil {
+		writeError(w, http.StatusBadRequest, "point-in-time export requires a data directory (-data-dir)")
+		return
+	}
+	gen, err := strconv.ParseUint(genStr, 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid generation %q", genStr)
+		return
+	}
+	seg, err := p.OpenGeneration(gen)
+	if err != nil {
+		// The live generation may postdate the newest sealed segment.
+		if views, verr := s.sp.Views(); verr == nil && views[0].Snap.Gen == gen {
+			streamExport(w, r, views)
+			return
 		}
-		meta.Generation = meta.Shards.Max()
-	} else {
-		snap := views[0].Snap
-		meta = exportMeta{
-			Generation:  snap.Gen,
-			Nodes:       snap.Graph.N(),
-			Edges:       snap.Graph.M(),
-			Communities: snap.Cover.Len(),
+		writeError(w, http.StatusNotFound, "generation %d is not retained (retained: %v)", gen, p.Generations())
+		return
+	}
+	// The snapshot is backed by the mapped segment, which stays open for
+	// the duration of the stream.
+	defer seg.Close()
+	streamExport(w, r, []shard.View{shard.SingleView(seg.Snapshot())})
+}
+
+// streamExport writes views in the export's NDJSON shape. A degraded
+// shard's communities are omitted from the stream; its vector entry
+// carries the error so the consumer knows the export is partial.
+func streamExport(w http.ResponseWriter, r *http.Request, views []shard.View) {
+	vec := shard.VectorOf(views)
+	meta := exportMeta{Generation: vec.Max()}
+	if shardedShape(views) {
+		meta.Shards = vec
+	}
+	for _, v := range views {
+		if v.Err != nil || v.Snap == nil {
+			continue
 		}
+		own := v.Owned()
+		meta.Nodes += own.OwnedNodes
+		meta.Edges += own.OwnedEdges
+		meta.Communities += v.Snap.Cover.Len()
 	}
 	// Clear the connection's write deadline: the export is mounted
 	// outside the TimeoutHandler to stream arbitrarily large covers, and
@@ -405,74 +437,6 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			written++
-		}
-	}
-	_ = bw.Flush()
-}
-
-// handleExportGeneration answers a point-in-time export: the requested
-// generation is served from a retained snapshot segment (or from the
-// live snapshot when it is the current, not-yet-sealed one). Single-node
-// only — sharded servers have no single global generation to pin.
-func (s *Server) handleExportGeneration(w http.ResponseWriter, r *http.Request, genStr string) {
-	if s.sharded() {
-		writeError(w, http.StatusBadRequest, "point-in-time export is not supported on sharded servers")
-		return
-	}
-	p := s.cfg.Persist
-	if p == nil {
-		writeError(w, http.StatusBadRequest, "point-in-time export requires a data directory (-data-dir)")
-		return
-	}
-	gen, err := strconv.ParseUint(genStr, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid generation %q", genStr)
-		return
-	}
-	seg, err := p.OpenGeneration(gen)
-	if err != nil {
-		// The live generation may postdate the newest sealed segment.
-		if snap, serr := s.snapshot(); serr == nil && snap.Gen == gen {
-			s.exportSnapshot(w, r, snap)
-			return
-		}
-		writeError(w, http.StatusNotFound, "generation %d is not retained (retained: %v)", gen, p.Generations())
-		return
-	}
-	defer seg.Close()
-	s.exportSnapshot(w, r, seg.Snapshot())
-}
-
-// exportSnapshot streams one unsharded snapshot in the export's NDJSON
-// shape. Shared by the live single-node path's point-in-time variant;
-// the snapshot may be backed by a mapped segment, which the caller
-// keeps open for the duration.
-func (s *Server) exportSnapshot(w http.ResponseWriter, r *http.Request, snap *refresh.Snapshot) {
-	meta := exportMeta{
-		Generation:  snap.Gen,
-		Nodes:       snap.Graph.N(),
-		Edges:       snap.Graph.M(),
-		Communities: snap.Cover.Len(),
-	}
-	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriterSize(w, 64<<10)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(meta); err != nil {
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	for i, c := range snap.Cover.Communities {
-		if i%exportFlushEvery == 0 && i > 0 {
-			if bw.Flush() != nil || r.Context().Err() != nil {
-				return // client gone; stop encoding
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if err := enc.Encode(exportCommunity{ID: int32(i), Size: len(c), Members: c}); err != nil {
-			return
 		}
 	}
 	_ = bw.Flush()

@@ -162,8 +162,8 @@ type metricsResponse struct {
 	// carry-forward counters.
 	SearchCache *searchCacheStats `json:"search_cache,omitempty"`
 	// Replicas is the per-shard replica-set state (replicated routers
-	// only): read/hedge/failover counters plus every member's freshness
-	// lag and live load. Shards without replica sets are omitted.
+	// only): the read floor plus every member's freshness lag and
+	// health. Shards without replica sets are omitted.
 	Replicas []*shard.ReplicaSetStats `json:"replicas,omitempty"`
 	// Resilience is the per-shard breaker/retry/deadline counter vector
 	// (routers with remote backends only): breaker state and trips,
@@ -424,24 +424,6 @@ func (m *httpMetrics) writePrometheus(w http.ResponseWriter, refresh []refreshMe
 				fmt.Fprintf(&b, "ocad_replica_lag_generations{shard=\"%d\",replica=\"%s\"} %d\n",
 					st.Shard, promEscape(mem.Addr), mem.Lag)
 			}
-		}
-		b.WriteString("# HELP ocad_replica_inflight Reads in flight per replica-set member.\n")
-		b.WriteString("# TYPE ocad_replica_inflight gauge\n")
-		for _, st := range reps {
-			for _, mem := range st.Members {
-				fmt.Fprintf(&b, "ocad_replica_inflight{shard=\"%d\",replica=\"%s\"} %d\n",
-					st.Shard, promEscape(mem.Addr), mem.InFlight)
-			}
-		}
-		b.WriteString("# HELP ocad_replica_hedges_total Hedged (backup) reads issued, per shard.\n")
-		b.WriteString("# TYPE ocad_replica_hedges_total counter\n")
-		for _, st := range reps {
-			fmt.Fprintf(&b, "ocad_replica_hedges_total{shard=\"%d\"} %d\n", st.Shard, st.Hedges)
-		}
-		b.WriteString("# HELP ocad_replica_hedge_wins_total Hedged reads whose backup answered first, per shard.\n")
-		b.WriteString("# TYPE ocad_replica_hedge_wins_total counter\n")
-		for _, st := range reps {
-			fmt.Fprintf(&b, "ocad_replica_hedge_wins_total{shard=\"%d\"} %d\n", st.Shard, st.HedgeWins)
 		}
 	}
 	if len(res) > 0 {

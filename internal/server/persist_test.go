@@ -75,7 +75,11 @@ func TestServerPersistRestartRoundTrip(t *testing.T) {
 	if h.Persistence.Recovered.Source != "cold" {
 		t.Errorf("recovery source = %q, want cold", h.Persistence.Recovered.Source)
 	}
-	preCover := append([]int32(nil), s.worker.Snapshot().Cover.Communities[0]...)
+	cv, err := s.Cover()
+	if err != nil {
+		t.Fatalf("Cover: %v", err)
+	}
+	preCover := append([]int32(nil), cv.Communities[0]...)
 	ts.Close()
 	s.Close() // clean shutdown: seals the final segment
 	store.Close()

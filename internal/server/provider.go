@@ -1,18 +1,21 @@
 package server
 
 // SnapshotProvider is the seam between the HTTP handlers and where the
-// served state lives. Every handler resolves its snapshot(s) through
-// this interface, so the same handler code serves both topologies:
+// served state lives. Every handler resolves its view(s) through this
+// interface and is written once over them; whether a response takes
+// the unsharded or the sharded shape is read off the views themselves
+// (shard.View.Sharded: does this view translate ids). Two
+// implementations exist:
 //
-//   - the single-graph path (singleProvider): one refresh.Worker, one
-//     snapshot per request, identity id translation — exactly PR 2's
-//     behavior, byte-for-byte, including lazy cover builds;
-//   - the sharded path (shard.Router): K partitioned workers, one view
-//     per shard per request, global↔local id translation, and a
-//     (shard, generation) vector quoted in responses.
-//
-// A later multi-process deployment slots in as a third implementation
-// whose Views/Enqueue go over the wire; the handlers don't change.
+//   - localProvider (local.go): one graph, one refresh.Worker, identity
+//     id translation — including lazy cover builds, preloaded covers,
+//     recovered snapshots and K=1 persistence;
+//   - shard.Router: K partitioned backends, one view per shard per
+//     request, global↔local id translation, and a (shard, generation)
+//     vector quoted in responses. Its backends are in-process workers
+//     (Config.Shards > 1) or transport clients mirroring remote shard
+//     servers (NewWithProvider, the multi-process router role) — either
+//     way reads are answered from snapshots held in this process.
 
 import (
 	"context"
@@ -61,92 +64,3 @@ type SnapshotProvider interface {
 	// Close stops background rebuild workers; reads keep serving.
 	Close()
 }
-
-// singleProvider adapts the Server's original single-worker machinery
-// (lazy cover build, preloaded covers, spectral c derivation) to the
-// SnapshotProvider seam with zero behavior change.
-type singleProvider struct {
-	s *Server
-}
-
-func (p singleProvider) NumShards() int { return 1 }
-
-func (p singleProvider) Ready() bool { return p.s.coverReady.Load() }
-
-func (p singleProvider) Views() ([]shard.View, error) {
-	snap, err := p.s.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return []shard.View{shard.SingleView(snap)}, nil
-}
-
-func (p singleProvider) ViewFor(global int32) (shard.View, int32, bool, error) {
-	if global < 0 {
-		return shard.View{}, 0, false, nil
-	}
-	if int(global) >= p.s.g.N() {
-		// Beyond the construction-time node set. Growth can only have
-		// happened through Enqueue (which builds the first cover), so an
-		// unready cover — or an id past the growth cap — means a cheap
-		// 404 without forcing a lazy OCA run.
-		if int(global) >= p.s.cfg.MaxNodes || !p.s.coverReady.Load() {
-			return shard.View{}, 0, false, nil
-		}
-	}
-	snap, err := p.s.snapshot()
-	if err != nil {
-		return shard.View{}, 0, false, err
-	}
-	view := shard.SingleView(snap)
-	local, ok := view.Local(global)
-	return view, local, ok, nil
-}
-
-func (p singleProvider) ShardOf(int32) int { return 0 }
-
-func (p singleProvider) NodeBound() int {
-	if p.s.coverReady.Load() {
-		return p.s.worker.Snapshot().Graph.N()
-	}
-	return p.s.g.N()
-}
-
-// coverBuildError marks a failed (lazy) cover build inside Enqueue so
-// handleEdges can answer 500 instead of treating it as a 400 validation
-// failure.
-type coverBuildError struct{ err error }
-
-func (e coverBuildError) Error() string { return e.err.Error() }
-func (e coverBuildError) Unwrap() error { return e.err }
-
-func (p singleProvider) Enqueue(_ context.Context, add, remove [][2]int32) (shard.GenVector, int, []int, error) {
-	// Mutating a lazy server materializes the first cover: there must
-	// be a generation 1 for the rebuild to start from.
-	if err := p.s.ensureCover(); err != nil {
-		return nil, 0, nil, coverBuildError{err}
-	}
-	gen, queued, err := p.s.worker.Enqueue(add, remove)
-	return shard.GenVector{{Shard: 0, Gen: gen}}, queued, []int{0}, err
-}
-
-func (p singleProvider) Flush(ctx context.Context, _ []int) (shard.GenVector, error) {
-	snap, err := p.s.worker.Flush(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return shard.GenVector{{Shard: 0, Gen: snap.Gen}}, nil
-}
-
-func (p singleProvider) Statuses() []shard.WorkerStatus {
-	if !p.s.coverReady.Load() {
-		return nil
-	}
-	return []shard.WorkerStatus{{
-		Shard:  0,
-		C:      p.s.worker.Snapshot().C,
-		Status: p.s.worker.Status(),
-	}}
-}
-
-func (p singleProvider) Close() {} // Server.Close owns worker shutdown

@@ -37,7 +37,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,7 +48,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/search"
 	"repro/internal/shard"
-	"repro/internal/spectral"
 )
 
 // Config tunes a Server. The zero value serves with the paper's OCA
@@ -131,13 +129,13 @@ type Config struct {
 	SearchCacheRho float64
 }
 
-// Server answers community-search queries over one evolving graph.
-// Construct with New or NewWithCover; all methods are safe for
-// concurrent use. Call Close to stop the background refresh worker.
+// Server answers community-search queries over one evolving graph. It
+// is the HTTP layer only: the served state — graph, refresh workers,
+// generations — lives behind its SnapshotProvider. Construct with New,
+// NewWithCover, NewWithSnapshot or NewWithProvider; all methods are safe
+// for concurrent use. Call Close to stop the background refresh workers.
 type Server struct {
-	g       *graph.Graph // construction-time graph (generation 1's base)
 	cfg     Config
-	maxDeg  int
 	stepCap int // ceiling on per-request search step budgets
 
 	// pool bounds in-flight searches at SearchWorkers; each checkout
@@ -155,35 +153,9 @@ type Server struct {
 	// singleflight coalescing (nil when disabled by config).
 	cache *searchCache
 
-	cOnce  sync.Once
-	cErr   error
-	cReady atomic.Bool
-	c      float64 // inner-product parameter used for searches
-
-	coverOnce  sync.Once
-	coverReady atomic.Bool
-	coverErr   error
-	worker     *refresh.Worker
-	preloaded  bool
-	preCv      *cover.Cover
-	restored   *refresh.Snapshot // recovered pre-shutdown state (NewWithSnapshot)
-
-	// persistErr holds the last asynchronous persistence failure (a
-	// publish marker or segment write from the worker goroutine, where
-	// there is no request to fail); /healthz surfaces it and flips the
-	// status to degraded. WAL append failures are synchronous and reject
-	// the batch instead.
-	persistErr atomic.Value // string
-
-	// sp is the seam every handler resolves snapshots through; multi is
-	// set when it fans out across shards (in-process router or remote
-	// transport provider) and selects the sharded response shapes.
+	// sp is the seam every handler resolves its views through.
 	sp      SnapshotProvider
-	multi   bool
 	metrics *httpMetrics
-
-	closeMu sync.Mutex
-	closed  bool
 }
 
 // New returns a Server that obtains its cover by running OCA on g —
@@ -193,26 +165,26 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	if cfg.Shards > 1 {
 		return newSharded(g, cfg)
 	}
-	s := newServer(g, cfg)
-	if cfg.OCA.C != 0 {
-		// Validate an explicit c up front even when lazy — it's free,
-		// and a bad value would otherwise surface as a 500 on every
-		// request instead of a launch failure.
-		if err := s.ensureC(); err != nil {
-			return nil, err
-		}
+	return newLocal(&localProvider{g: g}, cfg, cfg.Lazy)
+}
+
+// newLocal finishes a single-graph construction: wire the provider to
+// the config and the search cache, resolve c, build generation 1
+// unless lazy.
+func newLocal(lp *localProvider, cfg Config, lazy bool) (*Server, error) {
+	cache := cacheFromConfig(cfg)
+	lp.cfg = cfg
+	if cache != nil {
+		lp.onSwap = cache.onPublish
 	}
-	if !cfg.Lazy {
-		if err := s.ensureCover(); err != nil {
-			return nil, err
-		}
+	if err := lp.start(lazy); err != nil {
+		return nil, err
 	}
-	return s, nil
+	return newServer(lp, cfg, cache), nil
 }
 
 // newSharded builds the fan-out topology: a shard.Router owning one
-// refresh worker per shard, with the Server reduced to the HTTP layer
-// in front of it.
+// refresh worker per shard.
 func newSharded(g *graph.Graph, cfg Config) (*Server, error) {
 	if cfg.Lazy {
 		return nil, fmt.Errorf("server: lazy cover builds are not supported with %d shards", cfg.Shards)
@@ -223,7 +195,6 @@ func newSharded(g *graph.Graph, cfg Config) (*Server, error) {
 		// cannot replay. Durability is a shard-server deployment feature.
 		return nil, fmt.Errorf("server: persistence is not supported with %d in-process shards; run shard servers with their own data directories", cfg.Shards)
 	}
-	s := newServer(g, cfg)
 	rcfg := shard.Config{
 		OCA:                  cfg.OCA,
 		DisableWarmStart:     cfg.DisableWarmStart,
@@ -238,29 +209,25 @@ func newSharded(g *graph.Graph, cfg Config) (*Server, error) {
 		// operator's back.
 		rcfg.RederiveCAfter = 0
 	}
-	if s.cache != nil {
+	cache := cacheFromConfig(cfg)
+	if cache != nil {
 		// Each shard worker announces its publishes so the cache can
 		// prune that shard's superseded entries and carry survivors
 		// forward across incremental rebuilds.
-		rcfg.OnSwap = func(shardID int, sn *refresh.Snapshot) {
-			s.cache.carryForward(shardID, sn, s.cacheSpotCheck(shardID, sn))
-		}
+		rcfg.OnSwap = cache.onPublish
 	}
 	rt, err := shard.NewRouter(g, cfg.Shards, rcfg)
 	if err != nil {
 		return nil, fmt.Errorf("server: building shard router: %w", err)
 	}
-	s.sp = rt
-	s.multi = true
-	return s, nil
+	return newServer(rt, cfg, cache), nil
 }
 
 // NewWithProvider returns a Server that fronts an externally
 // constructed SnapshotProvider — the multi-process router role, where
 // transport.Dial assembled a shard.Router over remote shard backends.
-// The server owns no graph or worker of its own: every request
-// resolves through the provider, and Close closes it (stopping mirror
-// pollers; the shard processes keep running).
+// Every request resolves through the provider, and Close closes it
+// (stopping mirror pollers; the shard processes keep running).
 func NewWithProvider(sp SnapshotProvider, cfg Config) (*Server, error) {
 	if sp == nil {
 		return nil, errors.New("server: nil provider")
@@ -268,15 +235,8 @@ func NewWithProvider(sp SnapshotProvider, cfg Config) (*Server, error) {
 	if cfg.Persist != nil {
 		return nil, errors.New("server: persistence belongs on the shard servers, not the router role")
 	}
-	cfg.Shards = sp.NumShards()
-	s := newServer(nil, cfg)
-	s.sp = sp
-	s.multi = true
-	return s, nil
+	return newServer(sp, cfg, cacheFromConfig(cfg)), nil
 }
-
-// sharded reports whether this server fans out across shards.
-func (s *Server) sharded() bool { return s.multi }
 
 // NewWithCover returns a Server that serves a precomputed cover (for
 // example one loaded from an oca-run output file) instead of running
@@ -290,9 +250,6 @@ func NewWithCover(g *graph.Graph, cv *cover.Cover, cfg Config) (*Server, error) 
 	if cfg.Shards > 1 {
 		return nil, fmt.Errorf("server: precomputed covers are not supported with %d shards (partitioning a cover loses boundary context)", cfg.Shards)
 	}
-	s := newServer(g, cfg)
-	s.preloaded = true
-	s.preCv = cv
 	// Fail fast on a cover/graph mismatch: index.Build would silently
 	// drop out-of-range members, serving member lists whose own lookups
 	// 404 and stats where coverage exceeds 1.
@@ -303,16 +260,7 @@ func NewWithCover(g *graph.Graph, cv *cover.Cover, cfg Config) (*Server, error) 
 			}
 		}
 	}
-	if cfg.OCA.C != 0 {
-		// An explicit override is validated up front (it's free).
-		if err := s.ensureC(); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.ensureCover(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return newLocal(&localProvider{g: g, preCv: cv}, cfg, false)
 }
 
 // NewWithSnapshot returns a Server that serves an already-built
@@ -329,28 +277,10 @@ func NewWithSnapshot(snap *refresh.Snapshot, cfg Config) (*Server, error) {
 	if snap == nil || snap.Graph == nil || snap.Cover == nil {
 		return nil, errors.New("server: nil or incomplete snapshot")
 	}
-	s := newServer(snap.Graph, cfg)
-	s.restored = snap
-	if cfg.OCA.C != 0 {
-		if err := s.ensureC(); err != nil {
-			return nil, err
-		}
-	} else if snap.C != 0 {
-		// The snapshot carries the c it was built with; restarting must
-		// not re-derive the spectrum (and must answer searches with the
-		// same parameter the served cover was computed under).
-		s.cOnce.Do(func() {
-			s.c = snap.C
-			s.cReady.Store(true)
-		})
-	}
-	if err := s.ensureCover(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return newLocal(&localProvider{g: snap.Graph, restored: snap}, cfg, false)
 }
 
-func newServer(g *graph.Graph, cfg Config) *Server {
+func newServer(sp SnapshotProvider, cfg Config, cache *searchCache) *Server {
 	if cfg.SearchWorkers <= 0 {
 		cfg.SearchWorkers = defaultWorkers()
 	}
@@ -363,13 +293,7 @@ func newServer(g *graph.Graph, cfg Config) *Server {
 	if cfg.MaxBatchIDs <= 0 {
 		cfg.MaxBatchIDs = 10000
 	}
-	s := &Server{g: g, cfg: cfg}
-	if g != nil {
-		// g is nil only on the provider-backed router role, where every
-		// handler resolves through the sharded provider paths and the
-		// single-graph fields stay unused.
-		s.maxDeg = g.MaxDegree()
-	}
+	s := &Server{cfg: cfg, sp: sp, cache: cache, poolWidth: sp.NumShards(), metrics: newHTTPMetrics()}
 	// Requests may lower the step budget but never raise it past the
 	// server's own cap: searches are not context-cancellable, so a giant
 	// finite budget would hold a pool worker past the deadline just like
@@ -381,30 +305,10 @@ func newServer(g *graph.Graph, cfg Config) *Server {
 	// Pool slots start nil; states are allocated on first checkout so a
 	// lookup-only deployment never pays for SearchWorkers × O(maxDegree)
 	// queue buffers.
-	s.poolWidth = cfg.Shards
-	if s.poolWidth < 1 {
-		s.poolWidth = 1
-	}
 	s.pool = make(chan []poolSlot, cfg.SearchWorkers)
 	for i := 0; i < cfg.SearchWorkers; i++ {
 		s.pool <- nil
 	}
-	if cfg.SearchCacheSize >= 0 {
-		size := cfg.SearchCacheSize
-		if size == 0 {
-			size = defaultSearchCacheSize
-		}
-		rho := cfg.SearchCacheRho
-		if rho == 0 {
-			rho = defaultSearchCacheRho
-		}
-		if rho > 1 {
-			rho = 1
-		}
-		s.cache = newSearchCache(size, rho)
-	}
-	s.sp = singleProvider{s}
-	s.metrics = newHTTPMetrics()
 	return s
 }
 
@@ -415,190 +319,30 @@ func defaultWorkers() int {
 	return 1
 }
 
-// ensureC resolves the inner-product parameter exactly once: the
-// configured override, or -1/λmin from the power method over the
-// construction-time graph. It is separate from ensureCover so a lazy
-// server can answer /v1/search without first paying for a full OCA run.
-func (s *Server) ensureC() error {
-	s.cOnce.Do(func() {
-		if c := s.cfg.OCA.C; c != 0 {
-			if c < 0 || c >= 1 {
-				s.cErr = fmt.Errorf("server: c=%g out of range (0, 1)", c)
-				return
-			}
-			s.c = c
-			s.cReady.Store(true)
-			return
-		}
-		c, err := spectral.C(s.g, s.cfg.OCA.Spectral)
-		if err != nil {
-			s.cErr = fmt.Errorf("server: computing c: %w", err)
-			return
-		}
-		s.c = c
-		s.cReady.Store(true)
-	})
-	return s.cErr
-}
-
-// ensureCover builds the first snapshot and starts the refresh worker,
-// exactly once.
-func (s *Server) ensureCover() error {
-	s.coverOnce.Do(func() {
-		start := time.Now()
-		var snap *refresh.Snapshot
-		switch {
-		case s.restored != nil:
-			// Recovery: the snapshot arrives fully built (segment load +
-			// WAL replay); there is nothing to compute.
-			snap = s.restored
-		case s.preloaded:
-			// A preloaded cover does not need c; deriving it stays
-			// deferred to the first /v1/search or stats request.
-			var snapC float64
-			if s.cReady.Load() {
-				snapC = s.c
-			}
-			snap = refresh.NewSnapshot(s.g, s.preCv, nil, snapC, time.Since(start))
-		default:
-			if s.coverErr = s.ensureC(); s.coverErr != nil {
-				return
-			}
-			opt := s.cfg.OCA
-			opt.C = s.c // single source of truth for the parameter
-			var res *core.Result
-			res, s.coverErr = core.Run(s.g, opt)
-			if s.coverErr != nil {
-				return
-			}
-			snap = refresh.NewSnapshot(s.g, res.Cover, res, s.c, time.Since(start))
-		}
-		opt := s.cfg.OCA
-		if s.cReady.Load() {
-			// Pin the resolved c for rebuilds: re-deriving the spectrum
-			// per mutation batch would dominate refresh cost, and edge
-			// churn moves λmin only marginally. A preloaded cover with
-			// no resolved c leaves OCA.C = 0, so the first rebuild
-			// derives it from the then-current graph.
-			opt.C = s.c
-		}
-		rederive := s.cfg.RederiveCAfter
-		if s.cfg.OCA.C != 0 {
-			// An explicitly pinned c is never re-derived behind the
-			// operator's back.
-			rederive = 0
-		}
-		rcfg := refresh.Config{
-			OCA:                  opt,
-			DisableWarmStart:     s.cfg.DisableWarmStart,
-			Debounce:             s.cfg.RefreshDebounce,
-			MaxPending:           s.cfg.MaxPendingMutations,
-			MaxNodes:             s.cfg.MaxNodes,
-			RederiveCAfter:       rederive,
-			IncrementalThreshold: s.cfg.IncrementalThreshold,
-		}
-		if p := s.cfg.Persist; p != nil {
-			if snap.Gen == 0 {
-				snap.Gen = 1 // the normalization refresh.New would apply
-			}
-			// Seal the startup snapshot first so the WAL always has a
-			// segment to replay onto (a no-op when a clean shutdown already
-			// sealed this generation), then start the live WAL at its
-			// generation. Only then may mutations be accepted.
-			if s.coverErr = p.Seal(snap, nil); s.coverErr != nil {
-				s.coverErr = fmt.Errorf("server: sealing startup segment: %w", s.coverErr)
-				return
-			}
-			if s.coverErr = p.Begin(snap.Gen); s.coverErr != nil {
-				return
-			}
-			rcfg.LogBatch = p.LogBatch
-			rcfg.OnSwap = func(sn *refresh.Snapshot) {
-				if err := p.OnPublish(sn, nil); err != nil {
-					// Publishing proceeds — readers keep getting fresh
-					// state — but the durability gap is surfaced loudly on
-					// /healthz rather than swallowed.
-					s.persistErr.Store(err.Error())
-				}
-			}
-		}
-		if s.cache != nil {
-			// Chain after the persistence hook: durability markers first,
-			// then cache maintenance (prune superseded generations, carry
-			// survivors across incremental publishes).
-			prev := rcfg.OnSwap
-			rcfg.OnSwap = func(sn *refresh.Snapshot) {
-				if prev != nil {
-					prev(sn)
-				}
-				s.cache.carryForward(0, sn, s.cacheSpotCheck(0, sn))
-			}
-		}
-		w := refresh.New(snap, rcfg)
-		s.closeMu.Lock()
-		s.worker = w
-		closed := s.closed
-		s.closeMu.Unlock()
-		if closed {
-			w.Close()
-		} else {
-			w.Start()
-		}
-		s.coverReady.Store(true)
-	})
-	return s.coverErr
-}
-
-// snapshot returns the current generation, building the first one on
-// demand. The caller must answer its whole request from the returned
-// snapshot.
-func (s *Server) snapshot() (*refresh.Snapshot, error) {
-	if err := s.ensureCover(); err != nil {
-		return nil, err
-	}
-	return s.worker.Snapshot(), nil
-}
-
 // Close stops the background refresh worker(s) and drops queued
 // mutations. Read endpoints keep serving the last published snapshot;
 // /v1/edges fails afterwards. Safe to call multiple times.
-func (s *Server) Close() {
-	s.closeMu.Lock()
-	s.closed = true
-	w := s.worker
-	s.closeMu.Unlock()
-	if w != nil {
-		w.Close()
+func (s *Server) Close() { s.sp.Close() }
+
+// peekViews returns the provider's views without ever forcing a lazy
+// cover build: the published generation when there is one, otherwise
+// the local provider's construction-time graph as a generation-0 view.
+// The observability endpoints — and the response-shape decision of
+// handlers that hold no view of their own — read it.
+func (s *Server) peekViews() []shard.View {
+	if lp, ok := s.sp.(*localProvider); ok && !lp.Ready() {
+		return []shard.View{lp.unbuiltView()}
 	}
-	if s.sp != nil {
-		s.sp.Close()
-	}
-	if p := s.cfg.Persist; p != nil && w != nil && s.coverReady.Load() {
-		// Clean shutdown: seal the final snapshot so the next start
-		// recovers with a pure segment load, no WAL replay. The worker is
-		// already stopped, so this snapshot is final. Failures only cost
-		// the next start a replay; surface them like async persist errors.
-		if err := p.Seal(w.Snapshot(), nil); err != nil {
-			s.persistErr.Store(err.Error())
-		}
-	}
+	views, _ := s.sp.Views()
+	return views
 }
 
-// lastPersistError returns the last asynchronous persistence failure
-// ("" when persistence is healthy or disabled).
-func (s *Server) lastPersistError() string {
-	if v, ok := s.persistErr.Load().(string); ok {
-		return v
-	}
-	return ""
-}
-
-// C returns the inner-product parameter the server searches with.
-func (s *Server) C() (float64, error) {
-	if err := s.ensureC(); err != nil {
-		return 0, err
-	}
-	return s.c, nil
+// shardedShape reports whether responses assembled from these views
+// take the sharded shape: shard-scoped community ids and a per-shard
+// vector. It is a property of the views — do they translate ids — not
+// of the shard count, so a one-shard router answers like any router.
+func shardedShape(views []shard.View) bool {
+	return len(views) > 0 && views[0].Sharded()
 }
 
 // Cover returns the currently served cover, forcing a lazy build if
@@ -606,33 +350,20 @@ func (s *Server) C() (float64, error) {
 // server there is no single global cover — use Views via the HTTP API
 // instead — so Cover returns an error.
 func (s *Server) Cover() (*cover.Cover, error) {
-	if s.sharded() {
-		return nil, fmt.Errorf("server: no single cover with %d shards; covers are per shard", s.sp.NumShards())
-	}
-	snap, err := s.snapshot()
+	views, err := s.sp.Views()
 	if err != nil {
 		return nil, err
 	}
-	return snap.Cover, nil
+	if shardedShape(views) {
+		return nil, fmt.Errorf("server: no single cover with %d shards; covers are per shard", len(views))
+	}
+	return views[0].Snap.Cover, nil
 }
 
 // Generation returns the currently served snapshot generation (0 until
 // the first cover is built; the highest shard generation when sharded).
 func (s *Server) Generation() uint64 {
-	if s.sharded() {
-		views, _ := s.sp.Views()
-		var max uint64
-		for _, v := range views {
-			if v.Snap != nil && v.Snap.Gen > max {
-				max = v.Snap.Gen
-			}
-		}
-		return max
-	}
-	if !s.coverReady.Load() {
-		return 0
-	}
-	return s.worker.Snapshot().Gen
+	return shard.VectorOf(s.peekViews()).Max()
 }
 
 // route is one entry of the serving mux: the registration pattern plus
@@ -793,57 +524,20 @@ type healthShard struct {
 	Resilience *resilience.Stats `json:"resilience,omitempty"`
 }
 
+// handleHealthz folds every shard's view and worker status into one
+// liveness answer (plus, in the sharded shape, the per-shard vector).
+// Each shard contributes one atomic snapshot (or mirror) load; nothing
+// blocks on rebuilds or forces a lazy build. Any degraded shard flips
+// the top-level status to "degraded" with the transport error on that
+// shard's entry.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.sharded() {
-		s.handleHealthzSharded(w)
-		return
-	}
-	resp := healthzResponse{
-		Status:     "ok",
-		Nodes:      s.g.N(),
-		Edges:      s.g.M(),
-		CoverReady: s.coverReady.Load(),
-		Requests:   s.metrics.summary(),
-	}
-	if s.cache != nil {
-		cs := s.cache.stats()
-		resp.SearchCache = &cs
-	}
-	if p := s.cfg.Persist; p != nil {
-		st := p.Stats()
-		resp.Persistence = &st
-		if resp.LastPersistError = s.lastPersistError(); resp.LastPersistError != "" {
-			resp.Status = "degraded"
-		}
-	}
-	if resp.CoverReady {
-		// Report the *served* graph — mutations change the edge count
-		// across generations — with every snapshot-derived field read
-		// from ONE snapshot load, so a swap between loads cannot pair
-		// generation N with generation N+1's dimensions. Status supplies
-		// only the queue-side fields, which belong to no generation.
-		snap := s.worker.Snapshot()
-		st := s.worker.Status()
-		resp.Nodes = snap.Graph.N()
-		resp.Edges = snap.Graph.M()
-		resp.Generation = snap.Gen
-		resp.PendingMutations = st.Pending
-		resp.Rebuilding = st.Rebuilding
-		resp.SnapshotAgeMillis = time.Since(snap.BuiltAt).Milliseconds()
-		resp.LastRebuildMillis = snap.BuildTime.Milliseconds()
-		resp.LastRefreshError = st.LastErr
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleHealthzSharded aggregates every shard's snapshot and worker
-// status into one liveness view plus the per-shard vector. Each shard
-// contributes one atomic snapshot (or mirror) load; nothing blocks on
-// rebuilds. Any degraded shard flips the top-level status to
-// "degraded" with the transport error on that shard's entry.
-func (s *Server) handleHealthzSharded(w http.ResponseWriter) {
-	views, _ := s.sp.Views()
+	// Every snapshot-derived field of a shard is read from ONE view, so a
+	// swap between loads cannot pair generation N with generation N+1's
+	// dimensions. Statuses supply only the queue-side fields, which
+	// belong to no generation.
+	views := s.peekViews()
 	statuses := s.sp.Statuses()
+	sharded := shardedShape(views)
 	var reps []*shard.ReplicaSetStats
 	if rp, ok := s.sp.(interface {
 		ReplicaStats() []*shard.ReplicaSetStats
@@ -858,9 +552,8 @@ func (s *Server) handleHealthzSharded(w http.ResponseWriter) {
 	}
 	resp := healthzResponse{
 		Status:     "ok",
-		CoverReady: true,
+		CoverReady: s.sp.Ready(),
 		Requests:   s.metrics.summary(),
-		Shards:     make([]healthShard, len(views)),
 	}
 	if s.cache != nil {
 		cs := s.cache.stats()
@@ -871,46 +564,57 @@ func (s *Server) handleHealthzSharded(w http.ResponseWriter) {
 		resp.Epoch = st.Epoch
 		resp.Rebalance = &st
 	}
+	if p := s.cfg.Persist; p != nil {
+		st := p.Stats()
+		resp.Persistence = &st
+		if lp, ok := s.sp.(*localProvider); ok {
+			resp.LastPersistError = lp.persistError()
+		}
+		if resp.LastPersistError != "" {
+			resp.Status = "degraded"
+		}
+	}
+	// In the sharded shape refresh errors name their shard.
+	refreshErr := func(shardID int, msg string) string {
+		if sharded {
+			return fmt.Sprintf("shard %d: %s", shardID, msg)
+		}
+		return msg
+	}
+	shards := make([]healthShard, len(views))
 	for i, v := range views {
 		if v.Err != nil {
 			resp.Status = "degraded"
 		}
-		snap, meta := v.Snap, v.Meta()
-		if snap == nil || meta == nil {
-			hs := healthShard{Shard: v.Shard, Error: errString(v.Err)}
-			if i < len(reps) && reps[i] != nil {
-				hs.Replicas = reps[i].Members
-			}
-			if i < len(res) {
-				hs.Resilience = res[i]
-			}
-			resp.Shards[i] = hs
-			if resp.LastRefreshError == "" && v.Err != nil {
-				resp.LastRefreshError = fmt.Sprintf("shard %d: %v", v.Shard, v.Err)
-			}
-			continue
-		}
-		st := statuses[i].Status
-		hs := healthShard{
-			Shard:             v.Shard,
-			Generation:        snap.Gen,
-			Nodes:             meta.OwnedNodes,
-			Edges:             meta.OwnedEdges,
-			C:                 snap.C,
-			PendingMutations:  st.Pending,
-			Rebuilding:        st.Rebuilding,
-			SnapshotAgeMillis: time.Since(snap.BuiltAt).Milliseconds(),
-			LastRebuildMillis: snap.BuildTime.Milliseconds(),
-			LastRefreshError:  st.LastErr,
-			Error:             errString(v.Err),
-		}
+		hs := healthShard{Shard: v.Shard, Error: errString(v.Err)}
 		if i < len(reps) && reps[i] != nil {
 			hs.Replicas = reps[i].Members
 		}
 		if i < len(res) {
 			hs.Resilience = res[i]
 		}
-		resp.Shards[i] = hs
+		snap := v.Snap
+		if snap == nil {
+			// Never mirrored: the error is all there is to report.
+			shards[i] = hs
+			if resp.LastRefreshError == "" && v.Err != nil {
+				resp.LastRefreshError = refreshErr(v.Shard, v.Err.Error())
+			}
+			continue
+		}
+		own := v.Owned()
+		hs.Generation, hs.Nodes, hs.Edges, hs.C = snap.Gen, own.OwnedNodes, own.OwnedEdges, snap.C
+		if snap.Gen > 0 {
+			// Queue and age fields exist once a generation is published
+			// (not on a lazy provider's generation-0 view).
+			st := statuses[i].Status
+			hs.PendingMutations = st.Pending
+			hs.Rebuilding = st.Rebuilding
+			hs.SnapshotAgeMillis = time.Since(snap.BuiltAt).Milliseconds()
+			hs.LastRebuildMillis = snap.BuildTime.Milliseconds()
+			hs.LastRefreshError = st.LastErr
+		}
+		shards[i] = hs
 		resp.Nodes += hs.Nodes
 		resp.Edges += hs.Edges
 		if hs.Generation > resp.Generation {
@@ -925,8 +629,11 @@ func (s *Server) handleHealthzSharded(w http.ResponseWriter) {
 			resp.LastRebuildMillis = hs.LastRebuildMillis
 		}
 		if hs.LastRefreshError != "" && resp.LastRefreshError == "" {
-			resp.LastRefreshError = fmt.Sprintf("shard %d: %s", v.Shard, hs.LastRefreshError)
+			resp.LastRefreshError = refreshErr(v.Shard, hs.LastRefreshError)
 		}
+	}
+	if sharded {
+		resp.Shards = shards
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -980,97 +687,50 @@ type statsShard struct {
 	Error            string  `json:"error,omitempty"`
 }
 
+// handleStats aggregates per-shard cover statistics. Coverage counts
+// only owned nodes (each global node exactly once); size distributions
+// describe the served communities, whose member lists may include ghost
+// copies of boundary nodes. Sizes aggregate from the integer membership
+// totals, so one view's aggregate is exactly that view's own statistics.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	if s.sharded() {
-		s.handleStatsSharded(w)
-		return
-	}
-	snap, err := s.snapshot()
+	views, err := s.sp.Views()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "building cover: %v", err)
 		return
 	}
-	n := snap.Graph.N()
-	st := snap.Stats
-	resp := statsResponse{
-		Nodes:            n,
-		Edges:            snap.Graph.M(),
-		Generation:       snap.Gen,
-		Communities:      st.Communities,
-		CoveredNodes:     st.CoveredNodes,
-		OverlapNodes:     st.OverlapNodes,
-		MinSize:          st.MinSize,
-		MaxSize:          st.MaxSize,
-		MeanSize:         st.MeanSize,
-		MeanMembership:   st.MeanMember,
-		MaxMembership:    st.MaxMembership,
-		BuildMillis:      snap.BuildTime.Milliseconds(),
-		PendingMutations: s.worker.Status().Pending,
-		RebuildMode:      snap.RebuildMode,
-		DirtyNodes:       snap.DirtyNodes,
-	}
-	// Never force the spectral derivation just to fill this field; on a
-	// preloaded cover c appears once the first search resolves it.
-	switch {
-	case snap.C > 0:
-		resp.C = snap.C
-	case s.cReady.Load():
-		resp.C = s.c
-	}
-	if n > 0 {
-		resp.Coverage = float64(st.CoveredNodes) / float64(n)
-	}
-	if snap.Result != nil {
-		resp.SeedsTried = snap.Result.SeedsTried
-		resp.Steps = snap.Result.Steps
-		resp.RawCommunities = snap.Result.RawCommunities
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleStatsSharded aggregates per-shard cover statistics. Coverage
-// counts only owned nodes (each global node exactly once); size
-// distributions describe the served communities, whose member lists
-// may include ghost copies of boundary nodes.
-func (s *Server) handleStatsSharded(w http.ResponseWriter) {
-	views, _ := s.sp.Views()
 	statuses := s.sp.Statuses()
-	resp := statsResponse{
-		Shards:  make([]statsShard, len(views)),
-		MinSize: -1,
-	}
+	sharded := shardedShape(views)
+	resp := statsResponse{MinSize: -1}
+	shards := make([]statsShard, len(views))
 	var (
-		totalMembers float64
-		ownedMembers int64
-		latestBuilt  time.Time
+		totalMembers, ownedMembers int64
+		latest                     *refresh.Snapshot // most recently rebuilt shard
 	)
 	for i, v := range views {
-		if v.Snap == nil || v.Meta() == nil {
-			resp.Shards[i] = statsShard{Shard: v.Shard, Error: errString(v.Err)}
+		if v.Snap == nil {
+			shards[i] = statsShard{Shard: v.Shard, Error: errString(v.Err)}
 			continue
 		}
-		snap, meta, st := v.Snap, v.Meta(), statuses[i].Status
+		snap, own, st := v.Snap, v.Owned(), statuses[i].Status
 		entry := statsShard{
 			Shard:            v.Shard,
 			Error:            errString(v.Err),
 			Generation:       snap.Gen,
 			C:                snap.C,
 			Communities:      snap.Cover.Len(),
-			CoveredNodes:     meta.CoveredOwned,
-			OverlapNodes:     meta.OverlapOwned,
+			CoveredNodes:     own.CoveredOwned,
+			OverlapNodes:     own.OverlapOwned,
 			PendingMutations: st.Pending,
 			BuildMillis:      snap.BuildTime.Milliseconds(),
 			RebuildMode:      snap.RebuildMode,
 			DirtyNodes:       snap.DirtyNodes,
 		}
-		if snap.BuiltAt.After(latestBuilt) {
-			latestBuilt = snap.BuiltAt
-			resp.RebuildMode = snap.RebuildMode
-			resp.DirtyNodes = snap.DirtyNodes
+		if latest == nil || snap.BuiltAt.After(latest.BuiltAt) {
+			latest = snap
 		}
-		resp.Shards[i] = entry
-		resp.Nodes += meta.OwnedNodes
-		resp.Edges += meta.OwnedEdges
+		shards[i] = entry
+		resp.Nodes += own.OwnedNodes
+		resp.Edges += own.OwnedEdges
 		if entry.Generation > resp.Generation {
 			resp.Generation = entry.Generation
 		}
@@ -1089,15 +749,15 @@ func (s *Server) handleStatsSharded(w http.ResponseWriter) {
 			if cs.MaxSize > resp.MaxSize {
 				resp.MaxSize = cs.MaxSize
 			}
-			totalMembers += cs.MeanSize * float64(cs.Communities)
+			totalMembers += cs.Memberships
 		}
 		// Owned-only max: a ghost copy can carry more memberships in a
 		// foreign halo than its owning shard serves, and lookups always
 		// route to the owner — quote only numbers a lookup can return.
-		if meta.MaxMembershipOwned > resp.MaxMembership {
-			resp.MaxMembership = meta.MaxMembershipOwned
+		if own.MaxMembershipOwned > resp.MaxMembership {
+			resp.MaxMembership = own.MaxMembershipOwned
 		}
-		ownedMembers += meta.OwnedMemberships
+		ownedMembers += own.OwnedMemberships
 		if snap.Result != nil {
 			resp.SeedsTried += snap.Result.SeedsTried
 			resp.Steps += snap.Result.Steps
@@ -1107,14 +767,26 @@ func (s *Server) handleStatsSharded(w http.ResponseWriter) {
 	if resp.MinSize == -1 {
 		resp.MinSize = 0
 	}
+	if latest != nil {
+		resp.RebuildMode, resp.DirtyNodes = latest.RebuildMode, latest.DirtyNodes
+	}
 	if resp.Communities > 0 {
-		resp.MeanSize = totalMembers / float64(resp.Communities)
+		resp.MeanSize = float64(totalMembers) / float64(resp.Communities)
 	}
 	if resp.CoveredNodes > 0 {
 		resp.MeanMembership = float64(ownedMembers) / float64(resp.CoveredNodes)
 	}
 	if resp.Nodes > 0 {
 		resp.Coverage = float64(resp.CoveredNodes) / float64(resp.Nodes)
+	}
+	if sharded {
+		// Shards derive and re-derive c independently, so the parameter
+		// is quoted per shard, not globally.
+		resp.Shards = shards
+	} else {
+		// Never force the spectral derivation just to fill this field;
+		// on a preloaded cover c appears once the first search resolves it.
+		resp.C = statuses[0].C
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1254,58 +926,27 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid search request: %v", err)
 		return
 	}
-	if s.sharded() {
-		s.handleSearchSharded(w, r, req)
-		return
+	// The search runs over the seed's owning view: its halo graph holds
+	// the seed's full neighborhood (cross-shard ghosts included), so the
+	// local search behaves as it would unsharded. A lazy provider answers
+	// over its construction-time graph without forcing the OCA run —
+	// searches need only c, not the cover; the generation stays 0 there,
+	// which also disables caching (pre-cover results have no generation
+	// to key on or carry forward from).
+	var (
+		view  shard.View
+		local int32
+		ok    bool
+	)
+	// Only the single-graph provider can be unbuilt, or derive a missing
+	// c on demand; lp is nil on a router.
+	lp, _ := s.sp.(*localProvider)
+	if lp != nil && !lp.Ready() {
+		view = lp.unbuiltView()
+		local, ok = view.Local(req.Seed)
+	} else {
+		view, local, ok, _ = s.sp.ViewFor(req.Seed)
 	}
-	// Search over the served generation when there is one; a lazy
-	// server answers over the construction-time graph without forcing
-	// the OCA run (searches need only c, not the cover). gen stays 0
-	// there, which also disables caching — pre-cover results have no
-	// generation to key on or carry forward from.
-	g, maxDeg := s.g, s.maxDeg
-	var gen uint64
-	var snap *refresh.Snapshot
-	if s.coverReady.Load() {
-		snap = s.worker.Snapshot()
-		g, maxDeg = snap.Graph, snap.MaxDegree
-		gen = snap.Gen
-	}
-	if req.Seed < 0 || int(req.Seed) >= g.N() {
-		writeError(w, http.StatusNotFound, "seed %d out of range [0, %d)", req.Seed, g.N())
-		return
-	}
-	if !searchParamsValid(w, req) {
-		return
-	}
-	c := req.C
-	if c == 0 {
-		if snap != nil && snap.C > 0 {
-			c = snap.C
-		} else {
-			var err error
-			if c, err = s.C(); err != nil {
-				writeError(w, http.StatusInternalServerError, "computing c: %v", err)
-				return
-			}
-		}
-	}
-	if c < 0 || c >= 1 {
-		// 0 never reaches here — it is the "use the server's c"
-		// sentinel — so the effective range is (0, 1).
-		writeError(w, http.StatusBadRequest, "c=%g out of range (0, 1)", c)
-		return
-	}
-	s.runSearch(w, r, req, g, maxDeg, gen, req.Seed, c, nil)
-}
-
-// handleSearchSharded runs a seeded search over the owning shard's halo
-// graph: the seed's full neighborhood (including cross-shard ghosts) is
-// present there, so the local search behaves as it would unsharded, and
-// members translate back to global ids. Validation order mirrors
-// handleSearch; the execution tail is the shared runSearch.
-func (s *Server) handleSearchSharded(w http.ResponseWriter, r *http.Request, req SearchRequest) {
-	view, local, ok, _ := s.sp.ViewFor(req.Seed)
 	if view.Err != nil {
 		setRetryAfter(w, time.Second)
 		writeError(w, http.StatusServiceUnavailable, "shard %d unavailable: %v", view.Shard, view.Err)
@@ -1320,16 +961,29 @@ func (s *Server) handleSearchSharded(w http.ResponseWriter, r *http.Request, req
 	}
 	c := req.C
 	if c == 0 {
-		if c = view.Snap.C; c == 0 {
+		c = view.Snap.C
+	}
+	if c == 0 {
+		// The snapshot carries no parameter: a preloaded cover or
+		// unbuilt lazy server derives it now (once); a shard without
+		// edges has none to derive.
+		if lp == nil {
 			writeError(w, http.StatusInternalServerError, "shard %d has no inner-product parameter yet (no edges)", view.Shard)
+			return
+		}
+		var err error
+		if c, err = lp.resolveC(); err != nil {
+			writeError(w, http.StatusInternalServerError, "computing c: %v", err)
 			return
 		}
 	}
 	if c < 0 || c >= 1 {
+		// 0 never reaches here — it is the "use the server's c"
+		// sentinel — so the effective range is (0, 1).
 		writeError(w, http.StatusBadRequest, "c=%g out of range (0, 1)", c)
 		return
 	}
-	s.runSearch(w, r, req, view.Snap.Graph, view.Snap.MaxDegree, view.Snap.Gen, local, c, &view)
+	s.runSearch(w, r, req, view, local, c)
 }
 
 // searchParamsValid rejects out-of-range overrides with a 400 and
@@ -1426,26 +1080,23 @@ func writeSearchError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, "search pool saturated: %v", err)
 }
 
-// runSearch is the execution tail shared by the single and sharded
-// search paths. With caching enabled and a published generation to key
-// on, the request first consults the generation-keyed cache: a hit
-// answers immediately, concurrent identical requests coalesce onto one
-// underlying search, and a miss computes, caches and answers. origin
-// is non-nil on the sharded path; members then translate back to
-// global ids and the response carries the owning shard.
-func (s *Server) runSearch(w http.ResponseWriter, r *http.Request, req SearchRequest, g *graph.Graph, maxDeg int, gen uint64, seed int32, c float64, origin *shard.View) {
+// runSearch executes one validated search over view. With caching
+// enabled and a published generation to key on, the request first
+// consults the generation-keyed cache: a hit answers immediately,
+// concurrent identical requests coalesce onto one underlying search,
+// and a miss computes, caches and answers. Members translate back to
+// global ids; a view that translates also tags the response with its
+// shard.
+func (s *Server) runSearch(w http.ResponseWriter, r *http.Request, req SearchRequest, view shard.View, seed int32, c float64) {
 	opt := s.searchOptions(req)
-	slot := 0
-	if origin != nil {
-		slot = origin.Shard
-	}
+	snap := view.Snap
 
 	compute := func() (*searchEntry, error) {
 		rngSeed := req.RNGSeed
 		if rngSeed == 0 {
 			rngSeed = s.streams.Add(1)
 		}
-		community, fitness, err := s.executeSearch(r.Context(), g, maxDeg, gen, slot, seed, c, rngSeed, opt)
+		community, fitness, err := s.executeSearch(r.Context(), snap.Graph, snap.MaxDegree, snap.Gen, view.Shard, seed, c, rngSeed, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -1454,13 +1105,12 @@ func (s *Server) runSearch(w http.ResponseWriter, r *http.Request, req SearchReq
 			C:          c,
 			Size:       len(community),
 			Fitness:    fitness,
-			Members:    community,
-			Generation: gen,
+			Members:    view.Members(community),
+			Generation: snap.Gen,
 		}
-		if origin != nil {
-			sh := origin.Shard
+		if view.Sharded() {
+			sh := view.Shard
 			resp.Shard = &sh
-			resp.Members = origin.Members(community)
 		}
 		return &searchEntry{
 			resp:      resp,
@@ -1472,10 +1122,10 @@ func (s *Server) runSearch(w http.ResponseWriter, r *http.Request, req SearchReq
 		}, nil
 	}
 
-	if s.cache != nil && gen > 0 {
+	if s.cache != nil && snap.Gen > 0 {
 		key := searchKey{
-			shard:   slot,
-			gen:     gen,
+			shard:   view.Shard,
+			gen:     snap.Gen,
 			seed:    req.Seed,
 			c:       c,
 			prob:    opt.NeighborProb,

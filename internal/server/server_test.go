@@ -309,7 +309,7 @@ func TestLazyCoverBuild(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/search", SearchRequest{Seed: 0, RNGSeed: 1}, nil); code != http.StatusOK {
 		t.Fatalf("pre-build search status = %d", code)
 	}
-	if s.coverReady.Load() {
+	if s.sp.Ready() {
 		t.Fatal("search must not force the OCA run")
 	}
 

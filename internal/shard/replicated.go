@@ -3,158 +3,50 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/resilience"
 )
-
-// ReplicaSetConfig tunes a ReplicaSet's read routing.
-type ReplicaSetConfig struct {
-	// HedgeFraction caps hedged reads as a fraction of all reads — the
-	// budget that keeps tail-latency insurance from doubling traffic.
-	// 0 uses the default 0.05; a negative value disables hedging.
-	HedgeFraction float64
-	// HedgeDelayMin and HedgeDelayMax clamp the p99-derived hedge delay
-	// (defaults 1ms and 25ms). Until the latency sampler has enough
-	// observations the delay is HedgeDelayMax — hedging starts
-	// conservative, never eager.
-	HedgeDelayMin time.Duration
-	HedgeDelayMax time.Duration
-}
-
-func (c ReplicaSetConfig) withDefaults() ReplicaSetConfig {
-	switch {
-	case c.HedgeFraction < 0:
-		c.HedgeFraction = -1 // disabled
-	case c.HedgeFraction == 0:
-		c.HedgeFraction = 0.05
-	}
-	if c.HedgeDelayMin <= 0 {
-		c.HedgeDelayMin = time.Millisecond
-	}
-	if c.HedgeDelayMax < c.HedgeDelayMin {
-		c.HedgeDelayMax = 25 * time.Millisecond
-	}
-	return c
-}
 
 // ReplicaSet serves one shard from N backends — a single writable
 // primary plus read replicas — behind the plain Backend interface, so a
 // Router fans out over replica sets exactly as it does over single
 // backends. Writes (Lookup, EnsureLocal, Apply, Flush) and the
 // admission Status go only to the primary: a dead primary degrades
-// writes exactly as a single remote backend does. Reads route to any
-// sufficiently fresh member:
+// writes exactly as a single remote backend does. View — the one read
+// the router makes, answered from a member's local mirror — picks among
+// the sufficiently fresh members:
 //
 //   - Generation floor: Flush raises a read-your-writes floor (the
 //     same contract as the transport client's mirror floor), and every
-//     generation served ratchets a monotone-read floor — a reply never
+//     generation served ratchets a monotone-read floor — a view never
 //     goes backwards, even across a failover to a laggier member.
-//   - Least-loaded selection: members are ranked by in-flight reads,
-//     EWMA read latency, and the shard's queue-depth gauge.
-//   - Hedged reads: Read re-issues a slow read to the next-best member
-//     after a p99-derived delay and takes the first answer, within the
-//     HedgeFraction budget.
+//   - Eligibility: a member whose backend reports an error, lags the
+//     floor, is draining, or has an open circuit breaker is skipped.
+//   - Order: the primary first (it is the freshest), unless a replica
+//     reports a shallower mutation queue.
 //
-// A member whose backend reports an error, lags the floor, or is
-// draining is excluded from read selection; if no member qualifies the
-// primary's own (possibly degraded) view is served so error semantics
-// match the unreplicated path.
+// If no member qualifies the primary's own (possibly degraded) view is
+// served so error semantics match the unreplicated path. Replicas
+// therefore buy availability under a dead or broken primary; they do
+// not add read capacity — reads never leave the router process.
 type ReplicaSet struct {
 	shardID int
 	members []Backend // members[0] is the primary
-	cfg     ReplicaSetConfig
 
 	minGen atomic.Uint64 // read-your-writes floor raised by Flush
 	served atomic.Uint64 // monotone-read ratchet: highest generation served
-
-	reads     atomic.Uint64
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
-	failovers atomic.Uint64
-	stale     atomic.Uint64 // replies rejected for answering below the floor
-
-	load []memberLoad // parallel to members
-	lat  latencySampler
-}
-
-// memberLoad is one member's live load signal.
-type memberLoad struct {
-	inflight   atomic.Int64
-	ewmaMicros atomic.Uint64
-}
-
-func (ld *memberLoad) observe(d time.Duration) {
-	us := uint64(d.Microseconds())
-	if us == 0 {
-		us = 1
-	}
-	for {
-		cur := ld.ewmaMicros.Load()
-		nv := us
-		if cur != 0 {
-			nv = (cur*7 + us) / 8
-		}
-		if ld.ewmaMicros.CompareAndSwap(cur, nv) {
-			return
-		}
-	}
-}
-
-// latencySampler keeps a ring of recent read latencies and a cached p99
-// for deriving the hedge delay.
-type latencySampler struct {
-	mu  sync.Mutex
-	buf [256]int64 // microseconds
-	n   int
-	p99 atomic.Int64 // cached p99 in microseconds; 0 until warm
-}
-
-// samplerWarmup is the observation count below which the hedge delay
-// stays at its conservative maximum.
-const samplerWarmup = 32
-
-func (s *latencySampler) observe(d time.Duration) {
-	us := d.Microseconds()
-	s.mu.Lock()
-	s.buf[s.n%len(s.buf)] = us
-	s.n++
-	var snapshot []int64
-	if s.n >= samplerWarmup && s.n%samplerWarmup == 0 {
-		m := s.n
-		if m > len(s.buf) {
-			m = len(s.buf)
-		}
-		snapshot = append([]int64(nil), s.buf[:m]...)
-	}
-	s.mu.Unlock()
-	if snapshot != nil {
-		sort.Slice(snapshot, func(a, b int) bool { return snapshot[a] < snapshot[b] })
-		s.p99.Store(snapshot[int(0.99*float64(len(snapshot)-1))])
-	}
 }
 
 // NewReplicaSet assembles a replica set from a primary backend and its
 // read replicas. It takes ownership of all of them: Close closes every
 // member.
-func NewReplicaSet(primary Backend, replicas []Backend, cfg ReplicaSetConfig) *ReplicaSet {
-	members := append([]Backend{primary}, replicas...)
+func NewReplicaSet(primary Backend, replicas []Backend) *ReplicaSet {
 	return &ReplicaSet{
 		shardID: primary.Status().Shard,
-		members: members,
-		cfg:     cfg.withDefaults(),
-		load:    make([]memberLoad, len(members)),
+		members: append([]Backend{primary}, replicas...),
 	}
 }
-
-// NumMembers returns the member count including the primary.
-func (rs *ReplicaSet) NumMembers() int { return len(rs.members) }
-
-// Member returns member i's backend (0 is the primary).
-func (rs *ReplicaSet) Member(i int) Backend { return rs.members[i] }
 
 // floor is the generation below which no read may answer.
 func (rs *ReplicaSet) floor() uint64 {
@@ -170,210 +62,6 @@ func (rs *ReplicaSet) ratchet(gen uint64) {
 		cur := rs.served.Load()
 		if gen <= cur || rs.served.CompareAndSwap(cur, gen) {
 			return
-		}
-	}
-}
-
-// score is the least-loaded ranking key: in-flight reads dominate, the
-// EWMA latency and queue-depth gauge break ties so a slow or backlogged
-// member sheds read traffic before it stalls anyone.
-func (rs *ReplicaSet) score(i int) float64 {
-	ld := &rs.load[i]
-	s := float64(ld.inflight.Load())
-	s += float64(ld.ewmaMicros.Load()) / 1000 / 25 // EWMA ms, softened
-	s += float64(rs.members[i].Status().Status.Pending) / 64
-	return s
-}
-
-type readCandidate struct {
-	idx   int
-	view  View
-	score float64
-}
-
-// candidates returns the members eligible at floor fl, least-loaded
-// first. Stable sort: on equal load the primary (freshest) wins.
-func (rs *ReplicaSet) candidates(fl uint64) []readCandidate {
-	out := make([]readCandidate, 0, len(rs.members))
-	for i, m := range rs.members {
-		v := m.View()
-		if v.Err != nil || v.Snap == nil || v.Snap.Gen < fl {
-			continue
-		}
-		if d, ok := m.(interface{ Draining() bool }); ok && d.Draining() {
-			continue
-		}
-		// A member whose circuit breaker is open (or probing) is skipped
-		// before paying its timeout; mirror reads of the member would
-		// succeed, but routing load to a known-broken backend delays its
-		// recovery and risks stale amplification.
-		if b, ok := m.(interface{ BreakerOpen() bool }); ok && b.BreakerOpen() {
-			continue
-		}
-		out = append(out, readCandidate{idx: i, view: v, score: rs.score(i)})
-	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].score < out[b].score })
-	return out
-}
-
-// staleCandidates is the optimistic tier Read falls back to when no
-// member's *mirror* is known to be at the floor — routine in the
-// instant after a live reply from a server running ahead of its mirror
-// raised the floor, and lasting at most one poll interval. Members are
-// ordered freshest-mirror first (then least-loaded); Read enforces the
-// floor on the reply itself, rejecting and failing over stale answers,
-// so routing to them is safe. View has no reply to check and must NOT
-// use this tier — it would serve a regression.
-func (rs *ReplicaSet) staleCandidates() []readCandidate {
-	out := make([]readCandidate, 0, len(rs.members))
-	for i, m := range rs.members {
-		v := m.View()
-		if v.Err != nil || v.Snap == nil {
-			continue
-		}
-		if d, ok := m.(interface{ Draining() bool }); ok && d.Draining() {
-			continue
-		}
-		if b, ok := m.(interface{ BreakerOpen() bool }); ok && b.BreakerOpen() {
-			continue
-		}
-		out = append(out, readCandidate{idx: i, view: v, score: rs.score(i)})
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if ga, gb := out[a].view.Snap.Gen, out[b].view.Snap.Gen; ga != gb {
-			return ga > gb
-		}
-		return out[a].score < out[b].score
-	})
-	return out
-}
-
-// hedgeDelay derives the backup-request delay from the sampled read
-// p99, clamped to the configured window.
-func (rs *ReplicaSet) hedgeDelay() time.Duration {
-	p99 := time.Duration(rs.lat.p99.Load()) * time.Microsecond
-	if p99 <= 0 {
-		return rs.cfg.HedgeDelayMax
-	}
-	if p99 < rs.cfg.HedgeDelayMin {
-		return rs.cfg.HedgeDelayMin
-	}
-	if p99 > rs.cfg.HedgeDelayMax {
-		return rs.cfg.HedgeDelayMax
-	}
-	return p99
-}
-
-// hedgeOK admits one more hedge if the budget allows it.
-func (rs *ReplicaSet) hedgeOK() bool {
-	if rs.cfg.HedgeFraction < 0 {
-		return false
-	}
-	return float64(rs.hedges.Load()+1) <= rs.cfg.HedgeFraction*float64(rs.reads.Load())
-}
-
-// ReadResult describes how a hedged read was served.
-type ReadResult struct {
-	// Member is the member index that answered (0 = primary).
-	Member int
-	// Hedged reports that a backup request was fired for this read;
-	// HedgeWon that the backup answered first.
-	Hedged   bool
-	HedgeWon bool
-}
-
-// Read executes one remote read with least-loaded selection, error
-// failover, floor enforcement and budgeted hedging. do performs the
-// read against the given member and returns the generation its reply
-// was served from; a reply below the set's floor counts as a failure
-// (the next member is tried) so no caller ever observes a generation
-// regression. The winning attempt's member index is returned so the
-// caller can pick up per-member results it stashed from do.
-func (rs *ReplicaSet) Read(ctx context.Context, do func(ctx context.Context, member Backend, idx int) (uint64, error)) (ReadResult, error) {
-	fl := rs.floor()
-	cands := rs.candidates(fl)
-	if len(cands) == 0 {
-		cands = rs.staleCandidates()
-	}
-	if len(cands) == 0 {
-		return ReadResult{}, fmt.Errorf("shard %d: %w: no replica at generation >= %d", rs.shardID, ErrUnavailable, fl)
-	}
-	rs.reads.Add(1)
-
-	type outcome struct {
-		idx     int
-		err     error
-		isHedge bool
-	}
-	ctx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	results := make(chan outcome, len(cands))
-	next, outstanding := 0, 0
-	attempt := func(isHedge bool) {
-		c := cands[next]
-		next++
-		outstanding++
-		ld := &rs.load[c.idx]
-		ld.inflight.Add(1)
-		go func() {
-			start := time.Now()
-			gen, err := do(ctx, rs.members[c.idx], c.idx)
-			elapsed := time.Since(start)
-			ld.inflight.Add(-1)
-			ld.observe(elapsed)
-			if err == nil {
-				rs.lat.observe(elapsed)
-				if gen < fl {
-					rs.stale.Add(1)
-					err = fmt.Errorf("shard %d member %d: %w: answered generation %d behind floor %d",
-						rs.shardID, c.idx, ErrUnavailable, gen, fl)
-				} else {
-					rs.ratchet(gen)
-				}
-			}
-			results <- outcome{idx: c.idx, err: err, isHedge: isHedge}
-		}()
-	}
-	attempt(false)
-
-	var hedgeC <-chan time.Time
-	if rs.cfg.HedgeFraction >= 0 && len(cands) > 1 {
-		t := time.NewTimer(rs.hedgeDelay())
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	hedged := false
-	var firstErr error
-	for {
-		select {
-		case o := <-results:
-			outstanding--
-			if o.err == nil {
-				if o.isHedge {
-					rs.hedgeWins.Add(1)
-				}
-				return ReadResult{Member: o.idx, Hedged: hedged, HedgeWon: o.isHedge}, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if next < len(cands) {
-				// Failover on a hard error is free — only hedges (backup
-				// requests racing a still-running one) consume budget.
-				rs.failovers.Add(1)
-				attempt(false)
-			} else if outstanding == 0 {
-				return ReadResult{Hedged: hedged}, firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if next < len(cands) && rs.hedgeOK() {
-				hedged = true
-				rs.hedges.Add(1)
-				attempt(true)
-			}
-		case <-ctx.Done():
-			return ReadResult{Hedged: hedged}, ctx.Err()
 		}
 	}
 }
@@ -423,14 +111,34 @@ func (rs *ReplicaSet) Flush(ctx context.Context) (uint64, error) {
 	}
 }
 
-// View serves the least-loaded member at or above the floor. With no
-// eligible member it returns the primary's own view — stale mirror plus
-// explicit error, the same degraded shape as an unreplicated backend —
-// with the floor enforced on top.
+// View serves, among the members eligible at the floor, the one with
+// the shallowest mutation queue — the primary (then list order) winning
+// ties. With no eligible member it returns the primary's own view —
+// stale mirror plus explicit error, the same degraded shape as an
+// unreplicated backend — with the floor enforced on top.
 func (rs *ReplicaSet) View() View {
 	fl := rs.floor()
-	cands := rs.candidates(fl)
-	if len(cands) == 0 {
+	var best View
+	found, bestDepth := false, 0
+	for _, m := range rs.members {
+		v := m.View()
+		if v.Err != nil || v.Snap == nil || v.Snap.Gen < fl {
+			continue
+		}
+		if d, ok := m.(interface{ Draining() bool }); ok && d.Draining() {
+			continue
+		}
+		// A member whose circuit breaker is open (or probing) is skipped:
+		// its mirror would still answer, but it is no longer being
+		// refreshed, and the set should converge on members that are.
+		if b, ok := m.(interface{ BreakerOpen() bool }); ok && b.BreakerOpen() {
+			continue
+		}
+		if depth := m.Status().Status.Pending; !found || depth < bestDepth {
+			best, bestDepth, found = v, depth, true
+		}
+	}
+	if !found {
 		v := rs.members[0].View()
 		if v.Err == nil && v.Snap != nil && v.Snap.Gen < fl {
 			v.Err = fmt.Errorf("shard %d: %w: no replica at generation >= %d (primary at %d)",
@@ -438,9 +146,8 @@ func (rs *ReplicaSet) View() View {
 		}
 		return v
 	}
-	best := cands[0]
-	rs.ratchet(best.view.Snap.Gen)
-	return best.view
+	rs.ratchet(best.Snap.Gen)
+	return best
 }
 
 // Status reports the primary's status — the router's write-admission
@@ -468,12 +175,9 @@ type ReplicaStat struct {
 	// member is current or ahead of the last primary probe).
 	Generation uint64 `json:"generation"`
 	Lag        uint64 `json:"lag_generations"`
-	// InFlight and EWMAMillis are this router's live load signals for
-	// the member; QueueDepth is the shard's pending-mutation gauge as
-	// reported through the member.
-	InFlight   int     `json:"inflight"`
-	EWMAMillis float64 `json:"ewma_ms"`
-	QueueDepth int     `json:"queue_depth"`
+	// QueueDepth is the shard's pending-mutation gauge as reported
+	// through the member.
+	QueueDepth int `json:"queue_depth"`
 	// Healthy is false while the member's backend reports an error;
 	// Draining while it advertises a shutdown in progress.
 	Healthy  bool   `json:"healthy"`
@@ -485,17 +189,12 @@ type ReplicaStat struct {
 	Resilience *resilience.Stats `json:"resilience,omitempty"`
 }
 
-// ReplicaSetStats is one shard's replica-set state: counters plus every
-// member's freshness and load.
+// ReplicaSetStats is one shard's replica-set state: the read floor plus
+// every member's freshness.
 type ReplicaSetStats struct {
-	Shard     int           `json:"shard"`
-	Floor     uint64        `json:"floor"`
-	Reads     uint64        `json:"reads"`
-	Hedges    uint64        `json:"hedges"`
-	HedgeWins uint64        `json:"hedge_wins"`
-	Failovers uint64        `json:"failovers"`
-	Stale     uint64        `json:"stale_rejected"`
-	Members   []ReplicaStat `json:"members"`
+	Shard   int           `json:"shard"`
+	Floor   uint64        `json:"floor"`
+	Members []ReplicaStat `json:"members"`
 }
 
 // ResilienceStats aggregates every member's breaker/retry/deadline
@@ -512,19 +211,14 @@ func (rs *ReplicaSet) ResilienceStats() resilience.Stats {
 	return agg
 }
 
-// ReplicaStats reports the set's counters and per-member freshness. It
+// ReplicaStats reports the set's floor and per-member freshness. It
 // never blocks and triggers no I/O: generations and statuses come from
 // the members' local mirrors.
 func (rs *ReplicaSet) ReplicaStats() ReplicaSetStats {
 	st := ReplicaSetStats{
-		Shard:     rs.shardID,
-		Floor:     rs.floor(),
-		Reads:     rs.reads.Load(),
-		Hedges:    rs.hedges.Load(),
-		HedgeWins: rs.hedgeWins.Load(),
-		Failovers: rs.failovers.Load(),
-		Stale:     rs.stale.Load(),
-		Members:   make([]ReplicaStat, len(rs.members)),
+		Shard:   rs.shardID,
+		Floor:   rs.floor(),
+		Members: make([]ReplicaStat, len(rs.members)),
 	}
 	gens := make([]uint64, len(rs.members))
 	for i, m := range rs.members {
@@ -536,8 +230,8 @@ func (rs *ReplicaSet) ReplicaStats() ReplicaSetStats {
 	}
 	for i, m := range rs.members {
 		ms := m.Status()
-		// Healthy is the serving signal — the same one candidates() routes
-		// by: can this router read from the member right now. Status errors
+		// Healthy is the serving signal — the same one View routes by:
+		// can this router read from the member right now. Status errors
 		// (a replica relaying its dead upstream, say) surface in Error
 		// without flipping Healthy; a replica serving its mirror under a
 		// dead primary is healthy by design.
@@ -545,8 +239,6 @@ func (rs *ReplicaSet) ReplicaStats() ReplicaSetStats {
 		r := ReplicaStat{
 			Role:       "replica",
 			Generation: gens[i],
-			InFlight:   int(rs.load[i].inflight.Load()),
-			EWMAMillis: float64(rs.load[i].ewmaMicros.Load()) / 1000,
 			QueueDepth: ms.Status.Pending,
 			Healthy:    v.Err == nil && v.Snap != nil,
 			Error:      ms.Err,

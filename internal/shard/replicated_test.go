@@ -3,11 +3,10 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/refresh"
 )
@@ -17,6 +16,7 @@ import (
 // status error, queue depth, draining) is settable.
 type fakeBackend struct {
 	shardID int
+	member  int // index within the set, stamped into served snapshots
 
 	mu          sync.Mutex
 	gen         uint64
@@ -51,7 +51,7 @@ func (f *fakeBackend) Apply(_ context.Context, add, remove [][2]int32) error {
 func (f *fakeBackend) View() View {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return RemoteView(f.shardID, &refresh.Snapshot{Gen: f.gen}, nil, f.viewErr)
+	return RemoteView(f.shardID, &refresh.Snapshot{Gen: f.gen, Seq: uint64(f.member)}, nil, f.viewErr)
 }
 
 func (f *fakeBackend) Flush(ctx context.Context) (uint64, error) {
@@ -95,34 +95,34 @@ func (f *fakeBackend) Close() {
 	f.closed = true
 }
 
-func newTestSet(t *testing.T, gens []uint64, cfg ReplicaSetConfig) (*ReplicaSet, []*fakeBackend) {
+func newTestSet(t *testing.T, gens []uint64) (*ReplicaSet, []*fakeBackend) {
 	t.Helper()
 	fakes := make([]*fakeBackend, len(gens))
 	for i, g := range gens {
-		fakes[i] = &fakeBackend{shardID: 0, gen: g}
+		fakes[i] = &fakeBackend{shardID: 0, gen: g, member: i}
 	}
 	reps := make([]Backend, 0, len(fakes)-1)
 	for _, f := range fakes[1:] {
 		reps = append(reps, f)
 	}
-	rs := NewReplicaSet(fakes[0], reps, cfg)
+	rs := NewReplicaSet(fakes[0], reps)
 	t.Cleanup(rs.Close)
 	return rs, fakes
 }
 
-// instantRead is a do callback that answers immediately from the
-// member's scripted generation.
-func instantRead(_ context.Context, m Backend, _ int) (uint64, error) {
-	v := m.View()
-	if v.Err != nil {
-		return 0, v.Err
-	}
-	return v.Snap.Gen, nil
-}
+// servedBy reports which member a view came from (fakeBackend stamps
+// its index into the snapshot's Seq).
+func servedBy(v View) int { return int(v.Snap.Seq) }
+
+// busy gives a member a deep mutation queue, so that — were it eligible
+// alongside an idle member — the idle one would be preferred.
+func busy(f *fakeBackend) { f.set(func(f *fakeBackend) { f.pending = 640 }) }
 
 // TestReplicaSetRouting is the table-driven failure-mode matrix for
-// read selection: which member a read lands on (or that it fails) for
-// each combination of lag, floor, load, errors and draining.
+// read selection, asserted on View — the one read the router makes:
+// which member's mirror a view is served from (or that it carries an
+// explicit error) for each combination of lag, floor, queue depth,
+// errors, draining and open breakers.
 func TestReplicaSetRouting(t *testing.T) {
 	cases := []struct {
 		name string
@@ -135,9 +135,9 @@ func TestReplicaSetRouting(t *testing.T) {
 		{
 			name: "least loaded replica wins",
 			gens: []uint64{5, 5, 5},
-			prep: func(rs *ReplicaSet, _ []*fakeBackend) {
-				rs.load[0].inflight.Store(4)
-				rs.load[1].inflight.Store(1)
+			prep: func(_ *ReplicaSet, fakes []*fakeBackend) {
+				fakes[0].set(func(f *fakeBackend) { f.pending = 256 })
+				fakes[1].set(func(f *fakeBackend) { f.pending = 64 })
 				// member 2 idle
 			},
 			wantMember: 2,
@@ -156,7 +156,7 @@ func TestReplicaSetRouting(t *testing.T) {
 					panic(err)
 				}
 				// The lagging replica would otherwise win on load.
-				rs.load[0].inflight.Store(10)
+				busy(fakes[0])
 			},
 			wantMember: 0,
 		},
@@ -168,37 +168,36 @@ func TestReplicaSetRouting(t *testing.T) {
 				if _, err := rs.Flush(context.Background()); err != nil {
 					panic(err)
 				}
-				rs.load[0].inflight.Store(10)
+				busy(fakes[0])
 			},
 			wantMember: 1,
 		},
 		{
 			name: "erroring replica excluded",
 			gens: []uint64{5, 5},
-			prep: func(rs *ReplicaSet, fakes []*fakeBackend) {
+			prep: func(_ *ReplicaSet, fakes []*fakeBackend) {
 				fakes[1].set(func(f *fakeBackend) { f.viewErr = errors.New("mirror sync failed") })
-				rs.load[0].inflight.Store(10)
+				busy(fakes[0])
 			},
 			wantMember: 0,
 		},
 		{
 			name: "draining replica excluded",
 			gens: []uint64{5, 5},
-			prep: func(rs *ReplicaSet, fakes []*fakeBackend) {
+			prep: func(_ *ReplicaSet, fakes []*fakeBackend) {
 				fakes[1].set(func(f *fakeBackend) { f.draining = true })
-				rs.load[0].inflight.Store(10)
+				busy(fakes[0])
 			},
 			wantMember: 0,
 		},
 		{
-			// A member whose circuit breaker is open is excluded before any
-			// RPC is attempted — the set never pays a doomed timeout even
-			// though the member's mirror still looks healthy.
+			// A member whose circuit breaker is open is excluded even
+			// though its mirror still looks healthy.
 			name: "breaker-open replica excluded",
 			gens: []uint64{5, 5},
-			prep: func(rs *ReplicaSet, fakes []*fakeBackend) {
+			prep: func(_ *ReplicaSet, fakes []*fakeBackend) {
 				fakes[1].set(func(f *fakeBackend) { f.breakerOpen = true })
-				rs.load[0].inflight.Store(10)
+				busy(fakes[0])
 			},
 			wantMember: 0,
 		},
@@ -229,185 +228,90 @@ func TestReplicaSetRouting(t *testing.T) {
 				if _, err := rs.Flush(context.Background()); err != nil {
 					panic(err)
 				}
-				// Primary regresses below the flushed floor (e.g. dies and
-				// its stale mirror is all that's left).
-				fakes[0].set(func(f *fakeBackend) { f.gen = 5; f.viewErr = errors.New("down") })
+				// Only a mirror below the flushed floor is left (the
+				// primary was replaced by a stale restore, say).
+				fakes[0].set(func(f *fakeBackend) { f.gen = 5 })
 			},
-			// The surviving member is tried optimistically (its server could
-			// be ahead of its mirror) but its reply is below the floor and is
-			// rejected — no silent regression, an explicit unavailability.
-			wantErr: "behind floor 7",
+			// No silent regression: the primary's view is returned for
+			// identification, carrying an explicit unavailability.
+			wantErr: "no replica at generation >= 7 (primary at 5)",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rs, fakes := newTestSet(t, tc.gens, ReplicaSetConfig{HedgeFraction: -1})
+			rs, fakes := newTestSet(t, tc.gens)
 			if tc.prep != nil {
 				tc.prep(rs, fakes)
 			}
-			rr, err := rs.Read(context.Background(), instantRead)
+			v := rs.View()
 			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("Read err = %v, want substring %q", err, tc.wantErr)
+				if v.Err == nil || !strings.Contains(v.Err.Error(), tc.wantErr) {
+					t.Fatalf("View err = %v, want substring %q", v.Err, tc.wantErr)
 				}
-				if !errors.Is(err, ErrUnavailable) {
-					t.Fatalf("Read err = %v, want ErrUnavailable", err)
+				if !errors.Is(v.Err, ErrUnavailable) {
+					t.Fatalf("View err = %v, want ErrUnavailable", v.Err)
 				}
 				return
 			}
-			if err != nil {
-				t.Fatalf("Read: %v", err)
+			if v.Err != nil {
+				t.Fatalf("View: %v", v.Err)
 			}
-			if rr.Member != tc.wantMember {
-				t.Fatalf("Read served by member %d, want %d", rr.Member, tc.wantMember)
+			if got := servedBy(v); got != tc.wantMember {
+				t.Fatalf("View served by member %d, want %d", got, tc.wantMember)
 			}
 		})
 	}
 }
 
 func TestReplicaSetMonotoneReads(t *testing.T) {
-	rs, fakes := newTestSet(t, []uint64{7, 5}, ReplicaSetConfig{HedgeFraction: -1})
+	rs, fakes := newTestSet(t, []uint64{7, 5})
 
-	// First read serves the freshest member and ratchets the floor.
-	if rr, err := rs.Read(context.Background(), instantRead); err != nil || rr.Member != 0 {
-		t.Fatalf("Read = member %d, %v; want primary", rr.Member, err)
+	// First view serves the freshest member and ratchets the floor.
+	if v := rs.View(); v.Err != nil || servedBy(v) != 0 {
+		t.Fatalf("View = member %d, %v; want primary", servedBy(v), v.Err)
 	}
 	if got := rs.floor(); got != 7 {
 		t.Fatalf("floor after serving gen 7 = %d, want 7", got)
 	}
 
 	// The gen-7 member dies; the surviving gen-5 member must NOT serve —
-	// a reply may never go backwards for this router's clients.
-	fakes[0].set(func(f *fakeBackend) { f.viewErr = errors.New("down") })
-	if _, err := rs.Read(context.Background(), instantRead); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("Read after regression = %v, want ErrUnavailable", err)
-	}
-	if v := rs.View(); v.Err == nil {
-		t.Fatalf("View below floor must carry an error, got generation %d with nil error", v.Snap.Gen)
+	// a view may never go backwards for this router's clients. What comes
+	// back is the dead primary's own degraded view.
+	down := fmt.Errorf("%w: down", ErrUnavailable)
+	fakes[0].set(func(f *fakeBackend) { f.viewErr = down })
+	if v := rs.View(); !errors.Is(v.Err, ErrUnavailable) || servedBy(v) != 0 {
+		t.Fatalf("View after regression = member %d, err %v; want the primary's ErrUnavailable", servedBy(v), v.Err)
 	}
 
-	// A reply claiming a generation below the floor (raced snapshot
-	// swap) is rejected, not returned.
-	fakes[0].set(func(f *fakeBackend) { f.viewErr = nil })
-	_, err := rs.Read(context.Background(), func(_ context.Context, _ Backend, _ int) (uint64, error) {
-		return 3, nil // below the served floor of 7
-	})
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("stale reply error = %v, want ErrUnavailable", err)
-	}
-	if got := rs.stale.Load(); got == 0 {
-		t.Fatal("stale-reject counter did not move")
+	// Once the replica catches up to the floor it takes over.
+	fakes[1].set(func(f *fakeBackend) { f.gen = 7 })
+	if v := rs.View(); v.Err != nil || servedBy(v) != 1 || v.Snap.Gen != 7 {
+		t.Fatalf("View after catch-up = member %d gen %d, %v; want replica at 7", servedBy(v), v.Snap.Gen, v.Err)
 	}
 }
 
+// TestReplicaSetFailoverOnError: the member views are being served from
+// starts erroring mid-stream — the next view comes from the other
+// member, and service returns to the preferred one when it recovers.
 func TestReplicaSetFailoverOnError(t *testing.T) {
-	rs, _ := newTestSet(t, []uint64{5, 5}, ReplicaSetConfig{HedgeFraction: -1})
-	rs.load[0].inflight.Store(10) // make the failing replica the first choice
+	rs, fakes := newTestSet(t, []uint64{5, 5})
+	busy(fakes[0]) // make the replica the first choice
 
-	calls := 0
-	rr, err := rs.Read(context.Background(), func(_ context.Context, _ Backend, idx int) (uint64, error) {
-		calls++
-		if idx == 1 {
-			return 0, errors.New("connection reset")
-		}
-		return 5, nil
-	})
-	if err != nil {
-		t.Fatalf("Read: %v", err)
+	if v := rs.View(); v.Err != nil || servedBy(v) != 1 {
+		t.Fatalf("View = member %d, %v; want replica", servedBy(v), v.Err)
 	}
-	if rr.Member != 0 || calls != 2 {
-		t.Fatalf("Read = member %d after %d calls, want member 0 after 2", rr.Member, calls)
+	fakes[1].set(func(f *fakeBackend) { f.viewErr = errors.New("connection reset") })
+	if v := rs.View(); v.Err != nil || servedBy(v) != 0 {
+		t.Fatalf("View after replica error = member %d, %v; want primary", servedBy(v), v.Err)
 	}
-	if got := rs.failovers.Load(); got != 1 {
-		t.Fatalf("failovers = %d, want 1", got)
-	}
-	if rr.Hedged {
-		t.Fatal("error failover must not count as a hedge")
-	}
-}
-
-func TestReplicaSetHedgeOnStall(t *testing.T) {
-	// HedgeFraction 1 removes the budget from the equation; the tiny
-	// HedgeDelayMax makes the backup fire well before the stall ends.
-	rs, _ := newTestSet(t, []uint64{5, 5}, ReplicaSetConfig{
-		HedgeFraction: 1,
-		HedgeDelayMin: time.Millisecond,
-		HedgeDelayMax: 5 * time.Millisecond,
-	})
-	rs.load[1].inflight.Store(1) // deterministic order: primary first, replica hedge
-
-	release := make(chan struct{})
-	defer close(release)
-	rr, err := rs.Read(context.Background(), func(ctx context.Context, _ Backend, idx int) (uint64, error) {
-		if idx == 0 { // first choice stalls
-			select {
-			case <-release:
-			case <-ctx.Done():
-			}
-			return 5, nil
-		}
-		return 5, nil
-	})
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !rr.Hedged || !rr.HedgeWon || rr.Member != 1 {
-		t.Fatalf("ReadResult = %+v, want hedged win by member 1", rr)
-	}
-	if h, w := rs.hedges.Load(), rs.hedgeWins.Load(); h != 1 || w != 1 {
-		t.Fatalf("hedges/wins = %d/%d, want 1/1", h, w)
-	}
-}
-
-func TestReplicaSetHedgeBudget(t *testing.T) {
-	// With the default 5% budget, the very first read may not hedge
-	// (1 > 0.05*1): the stall must be ridden out.
-	rs, _ := newTestSet(t, []uint64{5, 5}, ReplicaSetConfig{
-		HedgeDelayMin: time.Millisecond,
-		HedgeDelayMax: 2 * time.Millisecond,
-	})
-	stalled := make(chan struct{})
-	go func() { time.Sleep(30 * time.Millisecond); close(stalled) }()
-	rr, err := rs.Read(context.Background(), func(ctx context.Context, _ Backend, idx int) (uint64, error) {
-		if idx == 0 {
-			<-stalled
-		}
-		return 5, nil
-	})
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if rr.Hedged || rs.hedges.Load() != 0 {
-		t.Fatalf("budget-starved read hedged anyway: %+v, hedges=%d", rr, rs.hedges.Load())
-	}
-
-	// Once enough reads accumulate, the same stall does hedge. The
-	// first stall's EWMA may have reordered the members, so stall
-	// whichever member the first attempt lands on.
-	rs.reads.Add(1000)
-	stalled2 := make(chan struct{})
-	defer close(stalled2)
-	var first atomic.Bool
-	first.Store(true)
-	rr, err = rs.Read(context.Background(), func(ctx context.Context, _ Backend, _ int) (uint64, error) {
-		if first.CompareAndSwap(true, false) {
-			select {
-			case <-stalled2:
-			case <-ctx.Done():
-			}
-		}
-		return 5, nil
-	})
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !rr.Hedged || !rr.HedgeWon {
-		t.Fatalf("budgeted read did not hedge: %+v", rr)
+	fakes[1].set(func(f *fakeBackend) { f.viewErr = nil })
+	if v := rs.View(); v.Err != nil || servedBy(v) != 1 {
+		t.Fatalf("View after replica recovery = member %d, %v; want replica", servedBy(v), v.Err)
 	}
 }
 
 func TestReplicaSetWritesGoToPrimary(t *testing.T) {
-	rs, fakes := newTestSet(t, []uint64{3, 3, 3}, ReplicaSetConfig{})
+	rs, fakes := newTestSet(t, []uint64{3, 3, 3})
 	fakes[0].set(func(f *fakeBackend) { f.flushGen = 4 })
 
 	if err := rs.Apply(context.Background(), [][2]int32{{0, 1}}, nil); err != nil {
@@ -450,15 +354,15 @@ func TestReplicaSetWritesGoToPrimary(t *testing.T) {
 }
 
 func TestReplicaSetStats(t *testing.T) {
-	rs, fakes := newTestSet(t, []uint64{9, 7, 9}, ReplicaSetConfig{HedgeFraction: -1})
+	rs, fakes := newTestSet(t, []uint64{9, 7, 9})
 	fakes[2].set(func(f *fakeBackend) { f.pending = 12; f.draining = true })
-	if _, err := rs.Read(context.Background(), instantRead); err != nil {
-		t.Fatalf("Read: %v", err)
+	if v := rs.View(); v.Err != nil {
+		t.Fatalf("View: %v", v.Err)
 	}
 
 	st := rs.ReplicaStats()
-	if st.Shard != 0 || st.Reads != 1 || len(st.Members) != 3 {
-		t.Fatalf("stats = %+v, want shard 0, 1 read, 3 members", st)
+	if st.Shard != 0 || len(st.Members) != 3 {
+		t.Fatalf("stats = %+v, want shard 0, 3 members", st)
 	}
 	if st.Members[0].Role != "primary" || st.Members[1].Role != "replica" {
 		t.Fatalf("roles = %q/%q", st.Members[0].Role, st.Members[1].Role)
@@ -473,12 +377,12 @@ func TestReplicaSetStats(t *testing.T) {
 		t.Fatal("healthy primary reported unhealthy")
 	}
 	if st.Floor != 9 {
-		t.Fatalf("floor = %d, want 9 (ratcheted by the read)", st.Floor)
+		t.Fatalf("floor = %d, want 9 (ratcheted by the view)", st.Floor)
 	}
 }
 
 func TestReplicaSetCloseClosesAllMembers(t *testing.T) {
-	rs, fakes := newTestSet(t, []uint64{1, 1, 1}, ReplicaSetConfig{})
+	rs, fakes := newTestSet(t, []uint64{1, 1, 1})
 	rs.Close()
 	for i, f := range fakes {
 		f.mu.Lock()

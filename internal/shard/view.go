@@ -149,6 +149,26 @@ func (v View) Meta() *Meta {
 	return m
 }
 
+// Owned returns the viewed snapshot's contribution to the global
+// aggregates: the shard Meta's owned-only tallies, or — on the unsharded
+// path, where every node is owned — the snapshot's own dimensions and
+// overlap statistics in the same fields. The view must carry a snapshot.
+func (v View) Owned() Meta {
+	if m := v.Meta(); m != nil {
+		return *m
+	}
+	g, st := v.Snap.Graph, v.Snap.Stats
+	return Meta{
+		K:                  1,
+		OwnedNodes:         g.N(),
+		OwnedEdges:         g.M(),
+		CoveredOwned:       st.CoveredNodes,
+		OverlapOwned:       st.OverlapNodes,
+		OwnedMemberships:   st.Memberships,
+		MaxMembershipOwned: st.MaxMembership,
+	}
+}
+
 // Local resolves a global node id to the viewed snapshot's local id. It
 // reports false for ids unknown to this generation — never seen, or
 // pending growth not yet published.

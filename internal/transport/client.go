@@ -644,9 +644,10 @@ func (c *Client) Status() shard.WorkerStatus {
 	return shard.WorkerStatus{Shard: c.shardID, Err: "no contact yet"}
 }
 
-// Lookup RPC: answer a membership batch directly from the remote
-// shard's current snapshot, bypassing the mirror (used by tooling and
-// tests; the serving path reads the mirror).
+// LookupRemote answers a membership batch directly from the remote
+// shard's current snapshot, bypassing the mirror. No public request
+// takes this path — the router reads its mirrors — it is the protocol's
+// direct-read verb (docs/PROTOCOL.md) for tooling and tests.
 // Idempotent, so transient transport failures retry (jittered backoff,
 // shared budget); breaker fast-fails and protocol errors do not.
 func (c *Client) LookupRemote(ctx context.Context, ids []int32, members bool) (LookupResponse, error) {

@@ -25,14 +25,12 @@ type Options struct {
 	// Replicas lists each shard's replica servers (`ocad -follow`
 	// processes mirroring that shard's primary): Replicas[i] belongs to
 	// addrs[i]. When non-nil it must have one entry per shard (empty
-	// lists are fine) and every backend becomes a replica set — reads
-	// route to any sufficiently fresh member with least-loaded selection
-	// and hedging, writes go to the primary only. Nil keeps the plain
+	// lists are fine) and every backend becomes a shard.ReplicaSet — the
+	// router mirrors every member and answers reads from a sufficiently
+	// fresh one, so a dead or broken primary keeps its shard readable;
+	// writes go to the primary only. Nil keeps the plain
 	// one-backend-per-shard topology.
 	Replicas [][]string
-	// Replication tunes the replica sets' hedging (ignored when
-	// Replicas is nil).
-	Replication shard.ReplicaSetConfig
 }
 
 // DeployInfo is what a successful handshake learned about the
@@ -51,9 +49,8 @@ type DeployInfo struct {
 // shard.Router over remote backends — a drop-in
 // server.SnapshotProvider, so the HTTP serving layer works unchanged
 // over processes. With Options.Replicas set, each shard's backend is a
-// replica set fanning reads over the primary and its mirrors. The
-// returned router's Close stops the mirror pollers; the shard
-// processes keep running.
+// replica set over the primary and its replicas. The returned router's
+// Close stops the mirror pollers; the shard processes keep running.
 func Dial(ctx context.Context, addrs []string, opt Options) (*shard.Router, error) {
 	backends, info, err := DialBackends(ctx, addrs, opt)
 	if err != nil {
@@ -74,9 +71,7 @@ func Dial(ctx context.Context, addrs []string, opt Options) (*shard.Router, erro
 
 // DialBackends is Dial up to (but not including) router assembly: it
 // returns the validated, polling per-shard backends plus the deployment
-// facts a router needs. Callers that want direct access to the replica
-// groups (hedged remote lookups via ReplicaGroup.LookupAny) use this
-// and build the router themselves.
+// facts a router needs, for callers that build the router themselves.
 func DialBackends(ctx context.Context, addrs []string, opt Options) ([]shard.Backend, DeployInfo, error) {
 	if len(addrs) == 0 {
 		return nil, DeployInfo{}, fmt.Errorf("transport: no shard addresses")
@@ -229,10 +224,7 @@ func DialBackends(ctx context.Context, addrs []string, opt Options) ([]shard.Bac
 		for j, rc := range rclients[i] {
 			reps[j] = rc
 		}
-		backends[i] = &ReplicaGroup{
-			ReplicaSet: shard.NewReplicaSet(c, reps, opt.Replication),
-			clients:    append([]*Client{c}, rclients[i]...),
-		}
+		backends[i] = shard.NewReplicaSet(c, reps)
 	}
 	for _, c := range clients {
 		c.startPolling()
@@ -243,35 +235,6 @@ func DialBackends(ctx context.Context, addrs []string, opt Options) ([]shard.Bac
 		}
 	}
 	return backends, DeployInfo{CurN: curN, MaxNodes: healths[0].MaxNodes, Map: deployMap}, nil
-}
-
-// ReplicaGroup is one shard's replica set over transport clients: the
-// shard.ReplicaSet routing plus the remote-lookup fan that rides it.
-type ReplicaGroup struct {
-	*shard.ReplicaSet
-	clients []*Client // parallel to the set's members; [0] is the primary
-}
-
-// LookupAny answers a remote batch lookup through the replica set's
-// read path: least-loaded member selection, failover, floor enforcement
-// and budgeted hedging. The returned ReadResult says which member
-// answered and whether a hedge fired.
-func (g *ReplicaGroup) LookupAny(ctx context.Context, ids []int32, members bool) (LookupResponse, shard.ReadResult, error) {
-	// One slot per member: each member is attempted at most once per
-	// Read, and the winner's slot is written before Read returns.
-	slots := make([]LookupResponse, len(g.clients))
-	rr, err := g.Read(ctx, func(ctx context.Context, _ shard.Backend, idx int) (uint64, error) {
-		resp, err := g.clients[idx].LookupRemote(ctx, ids, members)
-		if err != nil {
-			return 0, err
-		}
-		slots[idx] = resp
-		return resp.Generation, nil
-	})
-	if err != nil {
-		return LookupResponse{}, rr, err
-	}
-	return slots[rr.Member], rr, nil
 }
 
 // handshake probes the shard until it answers (covers may still be

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/shard"
 )
 
 // startReplica boots an `ocad -follow` equivalent against a primary and
@@ -278,10 +277,8 @@ func TestReplicatedClusterEndToEnd(t *testing.T) {
 	n, _ := resp.Body.Read(promBody)
 	resp.Body.Close()
 	prom := string(promBody[:n])
-	for _, metric := range []string{"ocad_replica_lag_generations", "ocad_replica_inflight", "ocad_replica_hedges_total", "ocad_replica_hedge_wins_total"} {
-		if !strings.Contains(prom, metric) {
-			t.Errorf("prometheus export missing %s", metric)
-		}
+	if !strings.Contains(prom, "ocad_replica_lag_generations") {
+		t.Error("prometheus export missing ocad_replica_lag_generations")
 	}
 
 	// Kill shard 0's primary. Let the replica finish mirroring the last
@@ -458,59 +455,5 @@ func TestReplicaRejoin(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("rejoined replica stuck at gen %d healthy=%v, want gen >= %d", gen, healthy, target)
 		}
-	}
-}
-
-// TestLookupAnyHedgesOnStall: with the primary stalled well past the
-// hedge delay, a budgeted backup request to the replica must win —
-// the remote analogue of the tail-at-scale contract the shard-level
-// tests prove in-process.
-func TestLookupAnyHedgesOnStall(t *testing.T) {
-	g := twoCliques(t)
-	cl, _ := startCluster(t, g, 1, 0, testOCA())
-	_, r0, rslow := startReplica(t, cl.addrs[0])
-
-	opt := testDialOptions()
-	opt.Replicas = [][]string{{r0.URL}}
-	opt.Replication = shard.ReplicaSetConfig{HedgeFraction: 1} // budget never binds here
-	backends, _, err := DialBackends(context.Background(), cl.addrs, opt)
-	if err != nil {
-		t.Fatalf("DialBackends: %v", err)
-	}
-	t.Cleanup(func() {
-		for _, b := range backends {
-			b.Close()
-		}
-	})
-	grp, ok := backends[0].(*ReplicaGroup)
-	if !ok {
-		t.Fatalf("backend is %T, want *ReplicaGroup", backends[0])
-	}
-
-	// Warm read: all scores zero, the tie goes to the primary — which
-	// also gives the primary a nonzero EWMA, so the next read prefers
-	// the (still unmeasured) replica.
-	if _, rr, err := grp.LookupAny(context.Background(), []int32{0, 5}, false); err != nil || rr.Member != 0 {
-		t.Fatalf("warm read: member=%d err=%v, want primary", rr.Member, err)
-	}
-
-	// Stall the now-preferred replica past HedgeDelayMax (25ms) but
-	// under the request timeout: the hedge must fire and the primary
-	// must win the race.
-	rslow.setDelay(200 * time.Millisecond)
-	defer rslow.setDelay(0)
-	resp, rr, err := grp.LookupAny(context.Background(), []int32{0, 5}, false)
-	if err != nil {
-		t.Fatalf("stalled read: %v", err)
-	}
-	if !rr.Hedged || !rr.HedgeWon || rr.Member != 0 {
-		t.Errorf("stalled read result %+v, want hedge fired and primary won", rr)
-	}
-	if resp.Generation < 1 || len(resp.Results) != 2 {
-		t.Errorf("hedged response: gen=%d results=%d", resp.Generation, len(resp.Results))
-	}
-	st := grp.ReplicaStats()
-	if st.Hedges < 1 || st.HedgeWins < 1 {
-		t.Errorf("hedge counters: %+v", st)
 	}
 }

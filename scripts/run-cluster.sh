@@ -7,7 +7,7 @@
 #
 #   SHARDS     number of shard processes (default 3)
 #   REPLICAS   read replicas per shard, following the shard's primary
-#              (default 0; reads fan out across primary + replicas)
+#              (default 0; the router mirrors them so reads survive a dead primary)
 #   GRAPH      input graph file (default: generate a demo LFR graph)
 #   ADDR       router listen address (default :8080)
 #   BASE_PORT  first shard-server port (default 9301); replicas take
