@@ -121,8 +121,9 @@ cover-check:
 # processes plus a router process over the wire protocol
 # (docs/PROTOCOL.md) and proves LFR NMI >= 0.99 vs an unsharded cold
 # run, no 5xx during rebuilds, explicit degradation when a shard is
-# SIGKILLed, disk recovery of the killed shard at its exact pre-kill
-# generation (docs/PERSISTENCE.md), and clean SIGTERM drains.
+# SIGKILLed, disk recovery of the killed shard — its -in file deleted
+# first — at its exact pre-kill generation and identity
+# (docs/PERSISTENCE.md), and clean SIGTERM drains.
 test-cluster:
 	$(GO) test -run 'TestMultiProcessCluster' -count=1 -v ./internal/transport
 

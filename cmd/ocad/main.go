@@ -26,6 +26,11 @@
 // mirror) while a primary is dead or broken; writes go to the primaries
 // only.
 //
+// With -data-dir (single-graph and -serve-shard roles) the directory is
+// the source of truth: -in only bootstraps an empty one, and a restart
+// over a populated directory serves the persisted state without opening
+// the input file (which may be omitted or gone by then).
+//
 // Usage:
 //
 //	ocad -in graph.txt [-addr :8080] [-shards K] [flags]            # single process (K in-process shards)
@@ -89,7 +94,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("ocad", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file once serving (for scripts and tests using :0)")
-	in := fs.String("in", "", "input graph (edge list or oca binary format; required except with -shard-addrs)")
+	in := fs.String("in", "", "input graph (edge list or oca binary format); required except with -shard-addrs, -follow, or a -data-dir that already holds state — a populated data directory is served as is and -in is not read")
 	coverPath := fs.String("cover", "", "serve this precomputed cover file instead of running OCA")
 	lazy := fs.Bool("lazy", false, "delay the OCA run until the first request that needs the cover")
 	seed := fs.Int64("seed", 1, "random seed for the OCA run")
@@ -190,9 +195,11 @@ func run(args []string) error {
 		return runRouter(cfg, strings.Split(*shardAddrs, ","), replicas, *shards, *in,
 			*addr, *addrFile, *connectTimeout, *pollInterval, *shardReqTimeout, *shutdownTimeout, inj)
 	}
-	if *in == "" {
+	if *in == "" && *dataDir == "" {
+		// With a data directory the check waits until the directory is
+		// known to be empty: a populated one boots without -in.
 		fs.Usage()
-		return errors.New("missing required -in graph file")
+		return errMissingIn
 	}
 	pf := persistFlags{dir: *dataDir, fsync: *walFsync, segmentEvery: *segmentEvery, retain: *retainSegments}
 	if *serveShard >= 0 {
@@ -212,31 +219,36 @@ func run(args []string) error {
 		return errors.New("-lazy is not supported with -shards > 1 (every shard's cover is built at startup)")
 	}
 
-	g, err := loadGraph(*in)
-	if err != nil {
-		return err
-	}
-	log.Printf("loaded graph: %d nodes, %d edges", g.N(), g.M())
-	cfg.MaxNodes = resolveMaxNodes(*maxNodes, g.N())
-
 	// With a data directory, disk is the source of truth: a recovered
 	// snapshot supersedes the -in graph (which only bootstraps an empty
-	// directory), and every accepted mutation is WAL-logged from here on.
-	var recovered *refresh.Snapshot
-	var store *persist.Store
-	if pf.dir != "" && *shards == 1 {
+	// directory and is not opened otherwise), and every accepted mutation
+	// is WAL-logged from here on.
+	var (
+		g         *graph.Graph
+		recovered *refresh.Snapshot
+		store     *persist.Store
+		st        = &persist.State{} // the zero State is a cold start
+	)
+	if pf.dir != "" {
 		store, err = persist.Open(persist.Options{
 			Dir: pf.dir, FsyncEveryBatch: pf.fsync,
 			SegmentEvery: pf.segmentEvery, Retain: pf.retain,
-			MaxNodes: cfg.MaxNodes,
 		})
 		if err != nil {
 			return err
 		}
-		st, err := store.Load()
-		if err != nil {
+		if st, err = store.Load(); err != nil {
 			return err
 		}
+		cfg.Persist = store
+	}
+	var globalNodes int
+	g, globalNodes, cfg.MaxNodes, err = bootNodes(*in, *maxNodes, st.Segment)
+	if err != nil {
+		return err
+	}
+	if store != nil {
+		store.SetNodeBounds(globalNodes, cfg.MaxNodes)
 		recovered, err = persist.ReplaySingle(st, persist.ReplayConfig{Refresh: refresh.Config{
 			OCA:                  cfg.OCA,
 			DisableWarmStart:     cfg.DisableWarmStart,
@@ -246,11 +258,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		cfg.Persist = store
 		if recovered != nil {
-			if cfg.MaxNodes < st.Segment.MaxNodes {
-				cfg.MaxNodes = st.Segment.MaxNodes
-			}
 			rs := store.Stats().Recovered
 			log.Printf("recovered generation %d from %s (%s, %d batches replayed)",
 				recovered.Gen, pf.dir, rs.Source, rs.ReplayedBatches)
@@ -451,15 +459,6 @@ func runRouter(cfg server.Config, addrs []string, replicas [][]string, shardsFla
 // directory), host this process's shard behind the wire protocol, and
 // drain mutations before shutting down.
 func runShardServer(cfg server.Config, in string, shardIdx, k, maxNodesFlag int, pf persistFlags, addr, addrFile string, shutdownTimeout time.Duration, inj *faultinject.Injector) error {
-	g, err := loadGraph(in)
-	if err != nil {
-		return err
-	}
-	maxN := resolveMaxNodes(maxNodesFlag, g.N())
-	if maxN < g.N() {
-		maxN = g.N()
-	}
-	log.Printf("loaded graph: %d nodes, %d edges; serving shard %d of %d", g.N(), g.M(), shardIdx, k)
 	scfg := shard.Config{
 		OCA:                  cfg.OCA,
 		DisableWarmStart:     cfg.DisableWarmStart,
@@ -477,23 +476,26 @@ func runShardServer(cfg server.Config, in string, shardIdx, k, maxNodesFlag int,
 	// With a data directory, each shard process owns a per-shard
 	// subdirectory (so K processes can share one -data-dir value), every
 	// applied fan-out batch is WAL-logged with its translation-table
-	// growth, and boot replays the tail through ApplyBatch.
+	// growth, and boot replays the tail through ApplyBatch. The directory
+	// is read before -in: a populated one is served as is.
 	var (
 		store *persist.Store
 		w     *shard.Worker
+		st    = &persist.State{} // the zero State is a cold start
+		dir   string
+		err   error
 	)
 	if pf.dir != "" {
-		dir := filepath.Join(pf.dir, fmt.Sprintf("shard-%d", shardIdx))
+		dir = filepath.Join(pf.dir, fmt.Sprintf("shard-%d", shardIdx))
 		store, err = persist.Open(persist.Options{
 			Dir: dir, FsyncEveryBatch: pf.fsync,
 			SegmentEvery: pf.segmentEvery, Retain: pf.retain,
-			Shard: shardIdx, Shards: k, MaxNodes: maxN,
+			Shard: shardIdx, Shards: k,
 		})
 		if err != nil {
 			return err
 		}
-		st, err := store.Load()
-		if err != nil {
+		if st, err = store.Load(); err != nil {
 			return err
 		}
 		scfg.LogBatch = func(b shard.Batch, seq uint64) error {
@@ -506,37 +508,45 @@ func runShardServer(cfg server.Config, in string, shardIdx, k, maxNodesFlag int,
 				log.Printf("persist: publishing generation %d: %v", sn.Gen, err)
 			}
 		}
-		if st.Segment != nil {
-			if maxN < st.Segment.MaxNodes {
-				maxN = st.Segment.MaxNodes
-			}
-			// Recover the partition map the shard was routed under and
-			// validate it against the flags before serving anything: a
-			// -shards value that disagrees with the persisted partition
-			// must fail loudly here, not misroute silently later.
-			pm, err := st.PartitionMap()
-			if err != nil {
-				return err
-			}
-			if pm != nil {
-				if pm.K != k {
-					return fmt.Errorf("shard %d: persisted partition map is %d-way at epoch %d but -shards is %d — restart with -shards %d, or point -data-dir at a fresh directory to resplit",
-						shardIdx, pm.K, pm.Epoch, k, pm.K)
-				}
-				scfg.PartitionMap = pm
-				log.Printf("shard %d recovered partition map at epoch %d (%d overrides)", shardIdx, pm.Epoch, len(pm.Ranges))
-			}
-			snap, table, err := persist.ReplayShard(st, shardIdx, k, scfg, maxN)
-			if err != nil {
-				return err
-			}
-			w = shard.NewWorkerFromSnapshot(snap, table, shardIdx, k, scfg, maxN)
-			rs := store.Stats().Recovered
-			log.Printf("shard %d recovered generation %d from %s (%s, %d batches replayed)",
-				shardIdx, snap.Gen, dir, rs.Source, rs.ReplayedBatches)
-			// The segment stays open: the recovered graph may be served
-			// zero-copy straight from the mapping.
+	}
+	g, globalNodes, maxN, err := bootNodes(in, maxNodesFlag, st.Segment)
+	if err != nil {
+		return err
+	}
+	if maxN < globalNodes {
+		maxN = globalNodes
+	}
+	log.Printf("serving shard %d of %d (%d global nodes, growth ceiling %d)", shardIdx, k, globalNodes, maxN)
+	if store != nil {
+		store.SetNodeBounds(globalNodes, maxN)
+	}
+	if st.Segment != nil {
+		// Recover the partition map the shard was routed under and
+		// validate it against the flags before serving anything: a
+		// -shards value that disagrees with the persisted partition
+		// must fail loudly here, not misroute silently later.
+		pm, err := st.PartitionMap()
+		if err != nil {
+			return err
 		}
+		if pm != nil {
+			if pm.K != k {
+				return fmt.Errorf("shard %d: persisted partition map is %d-way at epoch %d but -shards is %d — restart with -shards %d, or point -data-dir at a fresh directory to resplit",
+					shardIdx, pm.K, pm.Epoch, k, pm.K)
+			}
+			scfg.PartitionMap = pm
+			log.Printf("shard %d recovered partition map at epoch %d (%d overrides)", shardIdx, pm.Epoch, len(pm.Ranges))
+		}
+		snap, table, err := persist.ReplayShard(st, shardIdx, k, scfg, maxN)
+		if err != nil {
+			return err
+		}
+		w = shard.NewWorkerFromSnapshot(snap, table, shardIdx, k, scfg, maxN)
+		rs := store.Stats().Recovered
+		log.Printf("shard %d recovered generation %d from %s (%s, %d batches replayed)",
+			shardIdx, snap.Gen, dir, rs.Source, rs.ReplayedBatches)
+		// The segment stays open: the recovered graph may be served
+		// zero-copy straight from the mapping.
 	}
 	if w == nil {
 		piece, err := shard.SplitOne(g, k, shardIdx)
@@ -573,7 +583,7 @@ func runShardServer(cfg server.Config, in string, shardIdx, k, maxNodesFlag int,
 			store.Close()
 		}
 	}
-	tcfg := transport.ServerConfig{GlobalNodes: g.N(), MaxNodes: maxN}
+	tcfg := transport.ServerConfig{GlobalNodes: globalNodes, MaxNodes: maxN}
 	if store != nil {
 		// A final (non-pending) map install is acknowledged only after
 		// it is durable: the store stamps the new epoch and reseals, so
@@ -655,6 +665,45 @@ func serveUntilSignal(httpSrv *http.Server, addr, addrFile string, shutdownTimeo
 	}
 	log.Print("bye")
 	return <-errCh
+}
+
+// errMissingIn is the error of a boot that needs the input graph and
+// was given none.
+var errMissingIn = errors.New("missing required -in graph file")
+
+// bootNodes resolves the two node counts a data-bearing role boots
+// with — the node count of the input graph the deployment was
+// bootstrapped from, and the growth ceiling — and parses -in only when
+// the data directory cannot answer: seg is the segment recovered from
+// it (nil without a -data-dir or on an empty one), and a segment that
+// records global_nodes makes the directory authoritative, so the input
+// file is not opened and g is nil. One log line says which happened.
+//
+// The ceiling never shrinks across a restart: -max-nodes -1 (auto, 8x
+// the input graph at bootstrap) reuses the persisted ceiling, and an
+// explicit value below it is raised to it.
+func bootNodes(in string, maxNodesFlag int, seg *persist.Segment) (g *graph.Graph, globalNodes, maxNodes int, err error) {
+	if seg != nil && seg.GlobalNodes > 0 {
+		log.Printf("boot: serving the state in %s; input graph not read", filepath.Dir(seg.Path))
+		return nil, seg.GlobalNodes, max(maxNodesFlag, seg.MaxNodes), nil
+	}
+	if in == "" {
+		return nil, 0, 0, errMissingIn
+	}
+	if seg != nil {
+		log.Printf("boot: %s predates global_nodes; reading -in %s for the node count", seg.Path, in)
+	} else {
+		log.Printf("boot: no recovered state; reading -in %s", in)
+	}
+	if g, err = loadGraph(in); err != nil {
+		return nil, 0, 0, err
+	}
+	log.Printf("loaded graph: %d nodes, %d edges", g.N(), g.M())
+	maxNodes = resolveMaxNodes(maxNodesFlag, g.N())
+	if seg != nil {
+		maxNodes = max(maxNodes, seg.MaxNodes)
+	}
+	return g, g.N(), maxNodes, nil
 }
 
 // resolveMaxNodes turns the -max-nodes flag into a concrete cap:

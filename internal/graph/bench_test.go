@@ -85,3 +85,21 @@ func BenchmarkHasEdge(b *testing.B) {
 		g.HasEdge(int32(i%5000), int32((i*7)%5000))
 	}
 }
+
+// BenchmarkReadEdgeList measures the cold-boot text parse (scan, two
+// ids per line, CSR build) on a 5000-node, ~50k-edge list.
+func BenchmarkReadEdgeList(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, randomBenchGraph(b, 5000, 20)); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadEdgeList(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates undirected edges and produces an immutable Graph.
@@ -11,10 +11,19 @@ import (
 // NewBuilder and is not safe for concurrent use.
 type Builder struct {
 	n     int
-	edges []edge
+	edges []uint64 // packEdge keys
 }
 
-type edge struct{ u, v int32 }
+// packEdge is the undirected edge {u, v} as one integer, smaller
+// endpoint in the high half: for non-negative ids, integer order is
+// lexicographic (min, max) order, so edges sort without a comparison
+// callback and compare with ==.
+func packEdge(u, v int32) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
 
 // NewBuilder returns a Builder for a graph on n nodes (ids 0..n-1).
 func NewBuilder(n int) *Builder {
@@ -24,7 +33,7 @@ func NewBuilder(n int) *Builder {
 // NewBuilderHint is NewBuilder with a capacity hint for the expected
 // number of edges, avoiding append growth on large generations.
 func NewBuilderHint(n int, edgeHint int64) *Builder {
-	return &Builder{n: n, edges: make([]edge, 0, edgeHint)}
+	return &Builder{n: n, edges: make([]uint64, 0, edgeHint)}
 }
 
 // N returns the number of nodes the Builder was created with.
@@ -37,10 +46,7 @@ func (b *Builder) AddEdge(u, v int32) {
 	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
 		panic(fmt.Sprintf("graph: AddEdge(%d, %d) out of range [0, %d)", u, v, b.n))
 	}
-	if u > v {
-		u, v = v, u
-	}
-	b.edges = append(b.edges, edge{u, v})
+	b.edges = append(b.edges, packEdge(u, v))
 }
 
 // PendingEdges returns the number of edges recorded so far, before
@@ -50,64 +56,55 @@ func (b *Builder) PendingEdges() int { return len(b.edges) }
 // HasEdgePending reports whether {u,v} has already been recorded. It is a
 // linear scan and intended only for small builders in tests.
 func (b *Builder) HasEdgePending(u, v int32) bool {
-	if u > v {
-		u, v = v, u
-	}
-	for _, e := range b.edges {
-		if e.u == u && e.v == v {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(b.edges, packEdge(u, v))
 }
 
 // Build sorts, deduplicates and symmetrizes the recorded edges and
 // returns the immutable CSR graph. The Builder may be reused afterwards;
 // its recorded edges are preserved.
 func (b *Builder) Build() *Graph {
-	es := make([]edge, len(b.edges))
-	copy(es, b.edges)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].u != es[j].u {
-			return es[i].u < es[j].u
-		}
-		return es[i].v < es[j].v
-	})
+	return buildCSR(b.n, slices.Clone(b.edges))
+}
+
+// buildCSR is Build over a slice of packEdge keys it may reorder: every
+// endpoint must already lie in [0, n).
+func buildCSR(n int, keys []uint64) *Graph {
+	slices.Sort(keys)
 	// Drop self loops and duplicates.
-	kept := es[:0]
-	var prev edge = edge{-1, -1}
-	for _, e := range es {
-		if e.u == e.v || e == prev {
+	kept := keys[:0]
+	prev := ^uint64(0)
+	for _, k := range keys {
+		if int32(k>>32) == int32(k) || k == prev {
 			continue
 		}
-		kept = append(kept, e)
-		prev = e
+		kept = append(kept, k)
+		prev = k
 	}
 
-	offsets := make([]int64, b.n+1)
-	for _, e := range kept {
-		offsets[e.u+1]++
-		offsets[e.v+1]++
+	offsets := make([]int64, n+1)
+	for _, k := range kept {
+		offsets[int32(k>>32)+1]++
+		offsets[int32(k)+1]++
 	}
-	for i := 1; i <= b.n; i++ {
+	for i := 1; i <= n; i++ {
 		offsets[i] += offsets[i-1]
 	}
-	adj := make([]int32, offsets[b.n])
-	cursor := make([]int64, b.n)
-	copy(cursor, offsets[:b.n])
-	for _, e := range kept {
-		adj[cursor[e.u]] = e.v
-		cursor[e.u]++
-		adj[cursor[e.v]] = e.u
-		cursor[e.v]++
+	adj := make([]int32, offsets[n])
+	cursor := make([]int64, n)
+	copy(cursor, offsets[:n])
+	for _, k := range kept {
+		u, v := int32(k>>32), int32(k)
+		adj[cursor[u]] = v
+		cursor[u]++
+		adj[cursor[v]] = u
+		cursor[v]++
 	}
 	// Each list was filled in increasing order of the opposite endpoint
 	// for the u side, but the v side interleaves, so sort per node.
 	g := &Graph{offsets: offsets, adj: adj}
-	for v := int32(0); v < int32(b.n); v++ {
-		nb := g.Neighbors(v)
-		if !sort.SliceIsSorted(nb, func(i, j int) bool { return nb[i] < nb[j] }) {
-			sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+	for v := int32(0); v < int32(n); v++ {
+		if nb := g.Neighbors(v); !slices.IsSorted(nb) {
+			slices.Sort(nb)
 		}
 	}
 	return g

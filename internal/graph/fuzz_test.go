@@ -61,23 +61,34 @@ func checkParsedGraph(t *testing.T, g *Graph) {
 	}
 }
 
+// readAutoSeeds is FuzzReadAuto's in-code seed corpus (the checked-in
+// one lives in testdata/fuzz/FuzzReadAuto); the edge-list differential
+// test replays both.
+func readAutoSeeds(tb testing.TB) [][]byte {
+	var bin bytes.Buffer
+	if err := WriteBinary(&bin, FromEdges(3, [][2]int32{{0, 1}, {1, 2}})); err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{
+		[]byte("# nodes 4 edges 3\n0 1\n1 2\n2 3\n"),
+		[]byte("0 1\n1 2\n"),
+		[]byte("# nodes 9999999999 edges 0\n"),
+		[]byte("0 2147483647\n"),
+		[]byte("# comment\n\n 3   4 \n4 3\n3 3\n"),
+		[]byte("1 zebra\n"),
+		[]byte("-1 2\n"),
+		bin.Bytes(),
+		[]byte("OCAG garbage"),
+	}
+}
+
 // FuzzReadAuto drives the format-sniffing entry point ocad loads graphs
 // through: arbitrary bytes must either fail cleanly or produce a valid
 // CSR graph that round-trips through both serializations.
 func FuzzReadAuto(f *testing.F) {
-	f.Add([]byte("# nodes 4 edges 3\n0 1\n1 2\n2 3\n"))
-	f.Add([]byte("0 1\n1 2\n"))
-	f.Add([]byte("# nodes 9999999999 edges 0\n"))
-	f.Add([]byte("0 2147483647\n"))
-	f.Add([]byte("# comment\n\n 3   4 \n4 3\n3 3\n"))
-	f.Add([]byte("1 zebra\n"))
-	f.Add([]byte("-1 2\n"))
-	var bin bytes.Buffer
-	if err := WriteBinary(&bin, FromEdges(3, [][2]int32{{0, 1}, {1, 2}})); err != nil {
-		f.Fatal(err)
+	for _, seed := range readAutoSeeds(f) {
+		f.Add(seed)
 	}
-	f.Add(bin.Bytes())
-	f.Add([]byte("OCAG garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadAutoLimits(bytes.NewReader(data), fuzzLimits)
 		if err != nil {

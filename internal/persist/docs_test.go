@@ -35,10 +35,25 @@ func linesFromDoc(t *testing.T, doc, marker string) []string {
 	return lines
 }
 
+// metaKeys lists segMeta's JSON keys in field order the way the spec
+// writes them: the key, then "optional" when it is omitted at zero.
+func metaKeys() []string {
+	var keys []string
+	rt := reflect.TypeOf(segMeta{})
+	for i := 0; i < rt.NumField(); i++ {
+		name, opts, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		if opts == "omitempty" {
+			name += " optional"
+		}
+		keys = append(keys, name)
+	}
+	return keys
+}
+
 // TestPersistenceDocSync is the documentation lint: the normative
 // constants in docs/PERSISTENCE.md (magics, format versions, record
-// types, section tags, file-name patterns) must equal the ones the
-// code ships. Changing the on-disk format without updating the spec —
+// types, section tags, file-name patterns, META keys) must equal the
+// ones the code ships. Changing the on-disk format without updating the spec —
 // or vice versa — fails here.
 func TestPersistenceDocSync(t *testing.T) {
 	raw, err := os.ReadFile("../../docs/PERSISTENCE.md")
@@ -67,6 +82,7 @@ func TestPersistenceDocSync(t *testing.T) {
 			SegmentPattern,
 			WALPattern,
 		}},
+		{"<!-- persist:meta-keys -->", metaKeys()},
 	} {
 		if got := linesFromDoc(t, doc, tc.marker); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: doc lists %q, code ships %q", tc.marker, got, tc.want)

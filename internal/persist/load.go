@@ -161,6 +161,7 @@ func (s *Store) Load() (*State, error) {
 		// if no map change happens in this process's lifetime.
 		s.epoch, s.pmap = st.Segment.Epoch, st.Segment.PMap
 		s.sealedEpoch = st.Segment.Epoch
+		s.sealedNodes = [2]int{st.Segment.GlobalNodes, st.Segment.MaxNodes}
 	}
 	s.mu.Unlock()
 	return st, nil

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,7 +55,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	table := []int32{5, 8, 2, 9, 0, 1, 3, 4, 6, 7}
 	path := filepath.Join(t.TempDir(), SegmentName(3))
 	err := WriteSegment(path, SegmentData{
-		Info: snap.Info(), Shard: 1, Shards: 4, MaxNodes: 64,
+		Info: snap.Info(), Shard: 1, Shards: 4, MaxNodes: 64, GlobalNodes: 37,
 		Graph: snap.Graph, Cover: snap.Cover, Table: table,
 	})
 	if err != nil {
@@ -65,8 +66,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	if seg.Info.Gen != 3 || seg.Info.Seq != 17 || seg.Shard != 1 || seg.Shards != 4 || seg.MaxNodes != 64 {
-		t.Errorf("meta = %+v shard %d/%d max %d", seg.Info, seg.Shard, seg.Shards, seg.MaxNodes)
+	if seg.Info.Gen != 3 || seg.Info.Seq != 17 || seg.Shard != 1 || seg.Shards != 4 || seg.MaxNodes != 64 || seg.GlobalNodes != 37 {
+		t.Errorf("meta = %+v shard %d/%d max %d global %d", seg.Info, seg.Shard, seg.Shards, seg.MaxNodes, seg.GlobalNodes)
 	}
 	if !reflect.DeepEqual(seg.Table, table) {
 		t.Errorf("table = %v, want %v", seg.Table, table)
@@ -335,5 +336,78 @@ func TestStoreIdentityMismatch(t *testing.T) {
 	wrong := openStore(t, dir, Options{Shard: 1, Shards: 2})
 	if _, err := wrong.Load(); err == nil {
 		t.Fatal("shard 1 loaded shard 0's segment")
+	}
+}
+
+// TestParentCommitSegmentDecodes loads a segment whose bytes were
+// written by the commit before META gained global_nodes: it must decode
+// unchanged, report GlobalNodes 0 (the signal cmd/ocad falls back to
+// parsing -in on), and a store opened over it must stamp the bounds it
+// is then given into its next seal.
+func TestParentCommitSegmentDecodes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent-"+SegmentName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte("global_nodes")) {
+		t.Fatal("fixture is not a parent-commit segment: it names global_nodes")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, SegmentName(3)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, dir, Options{MaxNodes: 80})
+	st, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Segment.Close()
+	if seg := st.Segment; seg.Info.Gen != 3 || seg.Info.Seq != 17 || seg.MaxNodes != 80 || seg.GlobalNodes != 0 || seg.Graph.N() != 10 {
+		t.Fatalf("parent segment decoded as gen %d seq %d max %d global %d nodes %d, want 3/17/80/0/10",
+			seg.Info.Gen, seg.Info.Seq, seg.MaxNodes, seg.GlobalNodes, seg.Graph.N())
+	}
+
+	// The boot that parsed -in for the missing count hands it over, and
+	// its boot seal — a no-op on an unchanged identity — records it at
+	// the same generation.
+	if err := s.Seal(st.Segment.Snapshot(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, SegmentName(3))); !bytes.Equal(got, raw) {
+		t.Fatal("a seal at the recovered generation and identity rewrote the segment")
+	}
+	s.SetNodeBounds(10, 80)
+	if err := s.Seal(st.Segment.Snapshot(), nil); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := LoadSegment(filepath.Join(dir, SegmentName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	if seg.GlobalNodes != 10 || seg.MaxNodes != 80 || seg.Info != st.Segment.Info {
+		t.Errorf("resealed segment records global %d max %d info %+v, want 10/80 and the recovered info %+v",
+			seg.GlobalNodes, seg.MaxNodes, seg.Info, st.Segment.Info)
+	}
+	if n := s.Stats().Segments; n != 1 {
+		t.Errorf("store counts %d segments after an in-place reseal, want 1", n)
+	}
+}
+
+// TestMetaOmitsUnknownGlobalNodes pins the additive encoding: a store
+// that was never told the global node count writes the META payload the
+// parent commit wrote, key for key.
+func TestMetaOmitsUnknownGlobalNodes(t *testing.T) {
+	snap := testSnap(1, 0)
+	path := filepath.Join(t.TempDir(), SegmentName(1))
+	if err := WriteSegment(path, SegmentData{Info: snap.Info(), MaxNodes: 80, Graph: snap.Graph, Cover: snap.Cover}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte("global_nodes")) {
+		t.Error("META names global_nodes although none was given")
 	}
 }

@@ -84,6 +84,11 @@ type segMeta struct {
 	Shards int `json:"shards"`
 	// MaxNodes is the growth ceiling the generation was serving under.
 	MaxNodes int `json:"max_nodes"`
+	// GlobalNodes is the node count of the input graph the deployment
+	// was bootstrapped from — the one fact a restart would otherwise
+	// re-parse -in for. Omitted when unknown (0), so segments written
+	// before it existed decode identically.
+	GlobalNodes int `json:"global_nodes,omitempty"`
 	// Epoch/PMap record the partition map the generation was routed
 	// under (see docs/PROTOCOL.md "Partition map & rebalancing"). Both
 	// are omitted at epoch 0 — the base v mod Shards map — so segments
@@ -100,11 +105,13 @@ type Segment struct {
 	Path string
 	// Info carries the generation's scalar facts (gen, seq, c, …).
 	Info refresh.SnapshotInfo
-	// Shard/Shards/MaxNodes are the identity facts from the META
-	// section (Shards 0 = single-graph role).
-	Shard    int
-	Shards   int
-	MaxNodes int
+	// Shard/Shards/MaxNodes/GlobalNodes are the identity facts from the
+	// META section (Shards 0 = single-graph role; GlobalNodes 0 = a
+	// segment written before the field existed).
+	Shard       int
+	Shards      int
+	MaxNodes    int
+	GlobalNodes int
 	// Epoch/PMap are the persisted partition map facts (zero/nil for
 	// segments written at the epoch-0 base map).
 	Epoch uint64
@@ -153,10 +160,11 @@ func (s *Segment) Snapshot() *refresh.Snapshot {
 
 // SegmentData is the state WriteSegment persists.
 type SegmentData struct {
-	Info     refresh.SnapshotInfo
-	Shard    int
-	Shards   int
-	MaxNodes int
+	Info        refresh.SnapshotInfo
+	Shard       int
+	Shards      int
+	MaxNodes    int
+	GlobalNodes int
 	// Epoch/PMap stamp the partition map the shard routes under (zero
 	// value = the epoch-0 base map, omitted on disk).
 	Epoch uint64
@@ -177,7 +185,7 @@ func WriteSegment(path string, d SegmentData) error {
 	binary.LittleEndian.PutUint32(v[:], VersionSegment)
 	buf.Write(v[:])
 
-	meta, err := json.Marshal(segMeta{Info: d.Info, Shard: d.Shard, Shards: d.Shards, MaxNodes: d.MaxNodes, Epoch: d.Epoch, PMap: d.PMap})
+	meta, err := json.Marshal(segMeta{Info: d.Info, Shard: d.Shard, Shards: d.Shards, MaxNodes: d.MaxNodes, GlobalNodes: d.GlobalNodes, Epoch: d.Epoch, PMap: d.PMap})
 	if err != nil {
 		return fmt.Errorf("persist: encoding segment meta: %w", err)
 	}
@@ -323,7 +331,7 @@ func decodeSegment(path string, data []byte, mapped bool) (*Segment, error) {
 				return nil, fmt.Errorf("persist: %s: decoding meta: %w", path, err)
 			}
 			seg.Info, seg.Shard, seg.Shards, seg.MaxNodes = m.Info, m.Shard, m.Shards, m.MaxNodes
-			seg.Epoch, seg.PMap = m.Epoch, m.PMap
+			seg.GlobalNodes, seg.Epoch, seg.PMap = m.GlobalNodes, m.Epoch, m.PMap
 			sawMeta = true
 		case SecGraph:
 			g, err := decodeGraphPayload(payload, mapped)

@@ -31,11 +31,19 @@ type Options struct {
 	// point-in-time reads.
 	Retain int
 	// Shard/Shards identify the partition slice persisted here
-	// (Shards 0 = single-graph role); MaxNodes is the growth ceiling.
-	// All three are stamped into segment metadata and verified on load.
-	Shard    int
-	Shards   int
-	MaxNodes int
+	// (Shards 0 = single-graph role). Both are stamped into segment
+	// metadata and verified on load: a segment of another slice is an
+	// error, never served.
+	Shard  int
+	Shards int
+	// MaxNodes is the growth ceiling and GlobalNodes the node count of
+	// the input graph the deployment was bootstrapped from. Both are
+	// stamped into segment metadata for the next boot to read back
+	// (Segment.MaxNodes / Segment.GlobalNodes) and are not verified: a
+	// restart may raise the ceiling, never lower it. A caller that only
+	// learns them from Load sets them afterwards with SetNodeBounds.
+	MaxNodes    int
+	GlobalNodes int
 }
 
 // Stats is a point-in-time view of the store for observability
@@ -97,6 +105,12 @@ type Store struct {
 	epoch       uint64
 	pmap        []byte
 	sealedEpoch uint64
+	// sealedNodes is the (global_nodes, max_nodes) pair the newest
+	// segment carries; like sealedEpoch it keeps the same-generation
+	// skip from suppressing a seal whose only change is the identity —
+	// the boot that first learns global_nodes for a directory written
+	// without it, or that raises the ceiling, records it at once.
+	sealedNodes [2]int
 }
 
 // Open creates (if needed) the data directory and returns a Store over
@@ -135,6 +149,20 @@ func (s *Store) SetPartition(epoch uint64, enc []byte) {
 	s.epoch = epoch
 	s.pmap = append([]byte(nil), enc...)
 }
+
+// SetNodeBounds replaces Options.GlobalNodes and Options.MaxNodes for
+// every segment sealed from now on. A warm boot opens the store before
+// it knows either — both come out of the segment Load recovers — so it
+// calls this between Load and its first Seal. When the pair differs
+// from what the recovered segment carries, that Seal rewrites the
+// segment even at an unchanged generation.
+func (s *Store) SetNodeBounds(globalNodes, maxNodes int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.opts.GlobalNodes, s.opts.MaxNodes = globalNodes, maxNodes
+}
+
+func (s *Store) nodeBounds() [2]int { return [2]int{s.opts.GlobalNodes, s.opts.MaxNodes} }
 
 func (s *Store) scanSegments() (count int, newest uint64) {
 	for _, gen := range s.listSegments() {
@@ -258,8 +286,8 @@ func (s *Store) OnPublish(snap *refresh.Snapshot, table []int32) error {
 func (s *Store) Seal(snap *refresh.Snapshot, table []int32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.newestSeg == snap.Gen && s.segments > 0 && s.sealedEpoch == s.epoch {
-		return nil // already sealed at this generation and epoch
+	if s.newestSeg == snap.Gen && s.segments > 0 && s.sealedEpoch == s.epoch && s.sealedNodes == s.nodeBounds() {
+		return nil // already sealed at this generation, epoch and identity
 	}
 	return s.sealLocked(snap, table)
 }
@@ -271,15 +299,16 @@ func (s *Store) Seal(snap *refresh.Snapshot, table []int32) error {
 func (s *Store) sealLocked(snap *refresh.Snapshot, table []int32) error {
 	path := filepath.Join(s.opts.Dir, SegmentName(snap.Gen))
 	err := WriteSegment(path, SegmentData{
-		Info:     snap.Info(),
-		Shard:    s.opts.Shard,
-		Shards:   s.opts.Shards,
-		MaxNodes: s.opts.MaxNodes,
-		Epoch:    s.epoch,
-		PMap:     s.pmap,
-		Graph:    snap.Graph,
-		Cover:    snap.Cover,
-		Table:    table,
+		Info:        snap.Info(),
+		Shard:       s.opts.Shard,
+		Shards:      s.opts.Shards,
+		MaxNodes:    s.opts.MaxNodes,
+		GlobalNodes: s.opts.GlobalNodes,
+		Epoch:       s.epoch,
+		PMap:        s.pmap,
+		Graph:       snap.Graph,
+		Cover:       snap.Cover,
+		Table:       table,
 	})
 	if err != nil {
 		return fmt.Errorf("persist: writing segment %d: %w", snap.Gen, err)
@@ -289,6 +318,7 @@ func (s *Store) sealLocked(snap *refresh.Snapshot, table []int32) error {
 	}
 	s.newestSeg = snap.Gen
 	s.sealedEpoch = s.epoch
+	s.sealedNodes = s.nodeBounds()
 	s.lastSegAt = time.Now()
 	s.pubsSinceSeg = 0
 	if err := s.beginLocked(snap.Gen); err != nil {

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -122,9 +123,10 @@ func waitAddrFile(t *testing.T, p *ocadProc, path string, timeout time.Duration)
 // unsharded cold run ≥ 0.99; (2) serve mutations and lookups with no
 // 5xx while rebuilds run; (3) degrade explicitly (partial batch
 // results, flagged vector) when a shard process is SIGKILLed;
-// (4) recover that shard from its data directory on restart, rejoining
-// at the exact pre-kill generation with no 5xx from the survivors; and
-// (5) drain gracefully on SIGTERM.
+// (4) recover that shard from its data directory alone on restart — its
+// -in file is gone by then — rejoining at the exact pre-kill generation
+// and identity with no 5xx from the survivors; and (5) drain gracefully
+// on SIGTERM.
 func TestMultiProcessCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes and runs multiple OCA builds")
@@ -308,6 +310,13 @@ func TestMultiProcessCluster(t *testing.T) {
 	if preKillGen == 0 {
 		t.Fatalf("pre-kill healthz has no generation for shard 2: %+v", hr.Shards)
 	}
+	var preKill Health
+	if code := getJSON(t, "http://"+shardAddrs[2]+PathHealth, &preKill); code != http.StatusOK {
+		t.Fatalf("pre-kill shard 2 health = %d", code)
+	}
+	if preKill.GlobalNodes != n || preKill.MaxNodes != 8*n {
+		t.Fatalf("pre-kill shard 2 advertises global_nodes %d max_nodes %d, want %d/%d", preKill.GlobalNodes, preKill.MaxNodes, n, 8*n)
+	}
 	if err := shardProcs[2].cmd.Process.Kill(); err != nil {
 		t.Fatalf("killing shard 2: %v", err)
 	}
@@ -344,7 +353,12 @@ func TestMultiProcessCluster(t *testing.T) {
 	// (4) Restart the killed shard on its old address: it must recover
 	// from its data directory and rejoin at the exact pre-kill
 	// generation — the router's health returns to ok and lookups routed
-	// to it serve again. The later -addr overrides common's :0.
+	// to it serve again. The later -addr overrides common's :0. The
+	// input graph is deleted first: the data directory is all a warm
+	// boot may read, -in still names the file that is gone.
+	if err := os.Remove(graphPath); err != nil {
+		t.Fatal(err)
+	}
 	af2 := filepath.Join(dir, "shard2-restart.addr")
 	shardProcs[2] = startOcad(t, append(shardArgs(2, af2), "-addr", shardAddrs[2])...)
 	if got := waitAddrFile(t, shardProcs[2], af2, 60*time.Second); got != shardAddrs[2] {
@@ -362,9 +376,24 @@ func TestMultiProcessCluster(t *testing.T) {
 	if code := getJSON(t, base+"/v1/node/2/communities", nil); code != http.StatusOK {
 		t.Errorf("lookup on restarted shard = %d, want 200", code)
 	}
-	if logs := shardProcs[2].logs(); !strings.Contains(logs, "recovered generation") {
-		t.Errorf("restarted shard did not log recovery:\n%s", logs)
+	if logs := shardProcs[2].logs(); !strings.Contains(logs, "recovered generation") || !strings.Contains(logs, "input graph not read") {
+		t.Errorf("restarted shard did not log a recovery that skipped the input:\n%s", logs)
 	}
+	var postRestart Health
+	if code := getJSON(t, "http://"+shardAddrs[2]+PathHealth, &postRestart); code != http.StatusOK {
+		t.Fatalf("post-restart shard 2 health = %d", code)
+	}
+	if postRestart.GlobalNodes != preKill.GlobalNodes || postRestart.MaxNodes != preKill.MaxNodes {
+		t.Errorf("restarted shard advertises global_nodes %d max_nodes %d, want the pre-kill %d/%d",
+			postRestart.GlobalNodes, postRestart.MaxNodes, preKill.GlobalNodes, preKill.MaxNodes)
+	}
+	// A router dialing now runs the handshake's agreement check over the
+	// restarted shard and the two that never restarted.
+	rt, err := Dial(context.Background(), shardAddrs, Options{ConnectTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatalf("Dial over the restarted deployment: %v", err)
+	}
+	rt.Close()
 
 	// (5) Graceful drain: SIGTERM exits cleanly for router and shards.
 	for _, p := range []*ocadProc{router, shardProcs[0], shardProcs[1], shardProcs[2]} {

@@ -15,11 +15,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/lfr"
+	"repro/internal/refresh"
 	"repro/internal/shard"
 )
 
@@ -214,25 +215,20 @@ func TestDeadlineHeaderStamped(t *testing.T) {
 // while a flush waits on its publish sheds the request with 504
 // deadline_exceeded — visible in the health counter.
 func TestDeadlineHeaderEnforced(t *testing.T) {
-	// A graph big enough that a full rebuild takes ~10ms — so a flush
-	// carrying a 1ms budget always lapses mid-wait. The shed path needs
-	// a handler that genuinely blocks; lookups answer too fast to ever
-	// observe an expired budget.
-	bench, err := lfr.Generate(lfr.Params{
-		N: 2000, AvgDeg: 10, MaxDeg: 30, Mu: 0.2,
-		MinCom: 10, MaxCom: 50, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := bench.Graph
+	// The shed path needs a handler that genuinely blocks; lookups
+	// answer too fast to ever observe an expired budget. A flush blocks
+	// for as long as its rebuild does, and the rebuild is gated here,
+	// not timed: OnSwap runs on the worker goroutine after a publish, so
+	// while it is parked on release no further rebuild can start.
+	g := twoCliques(t)
 	pieces, err := shard.Split(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := make(chan struct{})
 	w, err := shard.NewWorker(pieces[0], 1, shard.Config{
-		OCA:      testOCA(),
-		Debounce: time.Minute,
+		OCA:    testOCA(),
+		OnSwap: func(int, *refresh.Snapshot) { <-release },
 	}, g.N())
 	if err != nil {
 		t.Fatal(err)
@@ -272,12 +268,22 @@ func TestDeadlineHeaderEnforced(t *testing.T) {
 		t.Errorf("lookup with 30s budget = %d, want 200", code)
 	}
 
-	// Park a mutation behind the minute-long debounce, then flush with
-	// a 1ms budget: the wait outlives the budget, and the server sheds
-	// the flush rather than holding an abandoned connection.
+	// Publish once — the flush returns, the worker goroutine stays
+	// parked in OnSwap — then queue a second mutation and flush it with
+	// a 1ms budget: its rebuild cannot start, so the wait outlives the
+	// budget and the server sheds the flush rather than holding an
+	// abandoned connection.
 	c := newClient(base, 0, 1, ClientConfig{RequestTimeout: 2 * time.Second})
 	defer c.Close()
-	if err := c.Apply(context.Background(), [][2]int32{{0, 1}}, nil); err != nil {
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark() // a failed assertion must not wedge w.Close
+	if err := c.Apply(context.Background(), [][2]int32{{0, 9}}, nil); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	if _, err := c.Flush(context.Background()); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if err := c.Apply(context.Background(), [][2]int32{{1, 8}}, nil); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	req, err := http.NewRequest(http.MethodPost, base+PathFlush,
@@ -304,6 +310,12 @@ func TestDeadlineHeaderEnforced(t *testing.T) {
 	}
 	if h.DeadlineShed < 1 {
 		t.Errorf("health deadline_shed = %d, want >= 1", h.DeadlineShed)
+	}
+	// Only now may the parked mutation rebuild: it stayed queued through
+	// the shed and still publishes.
+	unpark()
+	if _, err := c.Flush(context.Background()); err != nil {
+		t.Fatalf("flush after release: %v", err)
 	}
 }
 

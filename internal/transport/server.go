@@ -17,7 +17,10 @@ import (
 type ServerConfig struct {
 	// GlobalNodes is the node count of the global graph the shard was
 	// split from; MaxNodes is the global growth ceiling. The router
-	// handshake cross-checks both across all K servers.
+	// handshake cross-checks both across all K servers, so a restarted
+	// shard must advertise what it advertised before: cmd/ocad feeds
+	// both from the recovered segment's identity, not from a re-read of
+	// the input file.
 	GlobalNodes int
 	MaxNodes    int
 	// MaxRequestBody caps apply/lookup body sizes. Default 32 MiB (a
