@@ -7,8 +7,9 @@ RACE_PKGS := ./internal/core/... ./internal/search/... ./internal/graph/... ./in
 # the concurrent serving layer, where untested paths hide races, plus
 # the correctness-critical incremental-rebuild primitives (index
 # patching, incremental merge), the multi-process shard transport, and
-# the durability layer (WAL framing, segment files, crash recovery).
-COVER_PKGS := repro/internal/server repro/internal/refresh repro/internal/shard repro/internal/index repro/internal/postprocess repro/internal/transport repro/internal/wal repro/internal/persist repro/internal/resilience repro/internal/faultinject
+# the durability layer (WAL framing, segment files, crash recovery), and
+# the spectral kernel every cold boot derives c with.
+COVER_PKGS := repro/internal/spectral repro/internal/server repro/internal/refresh repro/internal/shard repro/internal/index repro/internal/postprocess repro/internal/transport repro/internal/wal repro/internal/persist repro/internal/resilience repro/internal/faultinject
 COVER_MIN := 75
 
 .PHONY: build test race vet fmt-check bench-smoke bench-shard bench-refresh bench-refresh-smoke bench-recovery bench-recovery-smoke bench-search bench-search-smoke bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke run-cluster check clean

@@ -150,7 +150,8 @@ type OCAHalting = core.Halting
 // OCAResult is the outcome of an OCA run.
 type OCAResult = core.Result
 
-// SpectralOptions tune the power iterations computing c = -1/λmin.
+// SpectralOptions tune the Lanczos run computing c = -1/λmin: its step
+// cap, its relative residual tolerance and its start-vector seed.
 type SpectralOptions = spectral.Options
 
 // OCA runs the paper's Overlapping Community Search on g.

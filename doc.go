@@ -8,7 +8,7 @@
 //
 //   - OCA itself: greedy local maximization of the directed-Laplacian
 //     fitness L(S) = s − √(s(s−1)) + 2·c·Ein(S)·(1 − (s−2)/√(s(s−1)))
-//     over node sets, with c = −1/λmin computed by the power method, plus
+//     over node sets, with c = −1/λmin computed by a Lanczos run, plus
 //     the paper's ρ-merge and orphan-assignment post-processing.
 //   - The two baselines the paper compares against: LFK (Lancichinetti,
 //     Fortunato, Kertész 2008) and CFinder (Palla et al. 2005, k-clique

@@ -21,9 +21,10 @@ import (
 // enabled, orphan assignment disabled).
 type Options struct {
 	// C overrides the inner-product parameter. When 0 it is computed as
-	// -1/λmin via the power method (the paper's choice).
+	// -1/λmin (the paper's choice), λmin being the smallest Ritz value of
+	// a Lanczos run on the adjacency matrix.
 	C float64
-	// Spectral tunes the power iterations used when C is computed.
+	// Spectral tunes that Lanczos run when C is computed.
 	Spectral spectral.Options
 	// Seed drives all randomness (seed choice, initial neighborhoods).
 	// Runs with equal seeds produce identical covers, regardless of the

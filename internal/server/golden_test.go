@@ -7,8 +7,12 @@ package server
 // (testdata/golden/*.golden). Only wall-clock and environment values are
 // normalised before comparing: `*_millis`, the /healthz `requests`
 // summary, latency `buckets`, `last_segment_at`, and the temporary data
-// directory's path. Re-record with `go test -run TestGoldenResponses
-// -update-golden ./internal/server` — and read the diff.
+// directory's path. Re-record with `go test ./internal/server -run
+// TestGoldenResponses -update-golden=true` — and read the diff. Only
+// k1-cover.golden serves a c derived by internal/spectral (the others
+// pin c), so a change to that kernel moves the `c` and `fitness` fields
+// of that one file: `go test ./internal/server -run
+// TestGoldenResponses/k1-cover -update-golden=true`.
 
 import (
 	"bytes"

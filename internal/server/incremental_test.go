@@ -131,7 +131,7 @@ func TestDebugMetricsPrometheusFormat(t *testing.T) {
 	}
 }
 
-// coreOptionsForTest pins c so tests never pay for the power method.
+// coreOptionsForTest pins c so tests never pay for deriving it.
 func coreOptionsForTest() core.Options {
 	return core.Options{C: 0.5, Seed: 2}
 }

@@ -83,7 +83,7 @@ func (p *localProvider) start(lazy bool) error {
 }
 
 // ensureC resolves the inner-product parameter exactly once: the
-// configured override, or -1/λmin from the power method over the
+// configured override, or -1/λmin from a Lanczos run over the
 // construction-time graph. It is separate from ensureCover so a lazy
 // server can answer /v1/search without first paying for a full OCA run.
 func (p *localProvider) ensureC() error {

@@ -3,11 +3,56 @@ package spectral
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/lfr"
 )
+
+// lfrDense20k is the end-to-end benchmark's input (benchmark/input.go);
+// lfrSmoke is its -smoke size.
+func lfrDense20k(tb testing.TB, seed int64) *graph.Graph {
+	return lfrGraph(tb, lfr.Params{N: 20000, AvgDeg: 48, MaxDeg: 120, Mu: 0.1,
+		MinCom: 150, MaxCom: 400, OverlapNodes: 2000, OverlapMemb: 2, Seed: seed})
+}
+
+func lfrSmoke(tb testing.TB, seed int64) *graph.Graph {
+	return lfrGraph(tb, lfr.Params{N: 2000, AvgDeg: 30, MaxDeg: 60, Mu: 0.1,
+		MinCom: 40, MaxCom: 100, OverlapNodes: 100, OverlapMemb: 2, Seed: seed})
+}
+
+func lfrGraph(tb testing.TB, p lfr.Params) *graph.Graph {
+	tb.Helper()
+	b, err := lfr.Generate(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b.Graph
+}
+
+// union places the given graphs side by side and appends isolated
+// nodes.
+func union(isolated int, parts ...*graph.Graph) *graph.Graph {
+	n := isolated
+	for _, p := range parts {
+		n += p.N()
+	}
+	b := graph.NewBuilder(n)
+	base := int32(0)
+	for _, p := range parts {
+		for v := int32(0); v < int32(p.N()); v++ {
+			for _, w := range p.Neighbors(v) {
+				if v < w {
+					b.AddEdge(base+v, base+w)
+				}
+			}
+		}
+		base += int32(p.N())
+	}
+	return b.Build()
+}
 
 func complete(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
@@ -151,12 +196,13 @@ func TestExactEigenvaluesKnown(t *testing.T) {
 	approx(t, "star4 max", eig[len(eig)-1], 2, 1e-8)
 }
 
-// TestPowerMatchesJacobi compares the power method estimates with the
-// exact Jacobi spectrum on random graphs.
-func TestPowerMatchesJacobi(t *testing.T) {
+// TestLanczosMatchesJacobi compares both Lanczos extremes with the exact
+// Jacobi spectrum on random graphs of up to 200 nodes, at the default
+// options.
+func TestLanczosMatchesJacobi(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(24)
+		n := 4 + rng.Intn(197)
 		b := graph.NewBuilder(n)
 		for i := 0; i < 3*n; i++ {
 			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
@@ -166,22 +212,158 @@ func TestPowerMatchesJacobi(t *testing.T) {
 			return true
 		}
 		eig := ExactEigenvalues(g, 0)
-		opt := Options{Seed: seed, MaxIter: 5000, Tol: 1e-10}
-		lmax, err := LambdaMax(g, opt)
-		if err != nil {
-			return false
-		}
-		lmin, err := LambdaMin(g, opt)
-		if err != nil {
-			return false
-		}
-		// λmin is clamped to <= -1, mirror that for the exact value.
-		exactMin := math.Min(eig[0], -1)
-		return math.Abs(lmax-eig[len(eig)-1]) < 1e-3 &&
-			math.Abs(lmin-exactMin) < 1e-2
+		r := lanczos(g, Options{Seed: seed}.withDefaults())
+		return math.Abs(r.max-eig[len(eig)-1]) < 1e-6 &&
+			math.Abs(r.min-eig[0]) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSmallGraphsMatchExact runs the shapes a plain Lanczos run could
+// trip on against the exact Jacobi spectrum.
+func TestSmallGraphsMatchExact(t *testing.T) {
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		steps int     // exact step count, 0 = any
+		c     float64 // expected C, 0 = -1/λmin
+	}{
+		// K_n has two distinct eigenvalues, so the Krylov space is
+		// exhausted (β_2 ≈ 0) after two steps.
+		{name: "K5 breakdown", g: complete(5), steps: 2, c: CMax},
+		{name: "K50 breakdown", g: complete(50), steps: 2, c: CMax},
+		// Bipartite: λmin = -λmax, both extremes converge together.
+		{name: "star9", g: star(9)},
+		{name: "star100", g: star(100)},
+		{name: "C8", g: cycle(8)},
+		{name: "C100", g: cycle(100)},
+		{name: "P5", g: pathGraph(5)},
+		// Disconnected: the extremes are taken over all components.
+		{name: "K5+K3", g: union(0, complete(5), complete(3)), c: CMax},
+		{name: "C8+K6", g: union(0, cycle(8), complete(6))},
+		{name: "star9+isolated", g: union(4, star(9))},
+		{name: "K4+P5+isolated", g: union(3, complete(4), pathGraph(5))},
+		// n = 2: a single edge, λ = ±1, raw c = 1 clamps to CMax.
+		{name: "single edge", g: complete(2), steps: 2, c: CMax},
+		{name: "single edge+isolated", g: union(5, complete(2)), c: CMax},
+	}
+	for _, tc := range cases {
+		opt := Options{Seed: 1}
+		eig := ExactEigenvalues(tc.g, 0)
+		r := lanczos(tc.g, opt.withDefaults())
+		if !r.converged {
+			t.Errorf("%s: not converged after %d steps", tc.name, r.steps)
+		}
+		if tc.steps != 0 && r.steps != tc.steps {
+			t.Errorf("%s: %d steps, want %d", tc.name, r.steps, tc.steps)
+		}
+		if r.steps > tc.g.N() {
+			t.Errorf("%s: %d steps on %d nodes", tc.name, r.steps, tc.g.N())
+		}
+		approx(t, tc.name+" θmin", r.min, eig[0], 1e-6)
+		approx(t, tc.name+" θmax", r.max, eig[len(eig)-1], 1e-6)
+		lmin, err := LambdaMin(tc.g, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		approx(t, tc.name+" λmin", lmin, math.Min(eig[0], -1), 1e-6)
+		wantC := tc.c
+		if wantC == 0 {
+			wantC = -1 / eig[0]
+		}
+		c, err := C(tc.g, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		approx(t, tc.name+" c", c, wantC, 1e-6)
+	}
+}
+
+// TestStepCapErrsHigh pins what reaching Options.MaxIter means. C_10000
+// has λmin = -2 with a gap of ~2e-7 to the next eigenvalue, far below
+// what any affordable run resolves: every run ends on the cap, its θmin
+// is a Ritz value and so ≥ λmin, and c = -1/θmin is ≥ the true 0.5 and
+// inside (0, CMax]. A longer run only gets closer.
+func TestStepCapErrsHigh(t *testing.T) {
+	g := cycle(10000)
+	prevC := CMax
+	for _, tc := range []struct {
+		maxIter int // 0 = default
+		steps   int
+		cSlack  float64 // c must be within this of 0.5
+	}{
+		{maxIter: 10, steps: 10, cSlack: 1e-2},
+		{maxIter: 100, steps: 100, cSlack: 1e-4},
+		{maxIter: 0, steps: 1000, cSlack: 1e-5},
+	} {
+		opt := Options{Seed: 1, MaxIter: tc.maxIter}
+		r := lanczos(g, opt.withDefaults())
+		if r.converged || r.steps != tc.steps {
+			t.Fatalf("MaxIter %d: converged=%v after %d steps, want the cap at %d",
+				tc.maxIter, r.converged, r.steps, tc.steps)
+		}
+		if r.min < -2 || r.max > 2 {
+			t.Fatalf("MaxIter %d: Ritz values [%g, %g] outside the spectrum [-2, 2]",
+				tc.maxIter, r.min, r.max)
+		}
+		c, err := C(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c < 0.5 || c > 0.5+tc.cSlack || c > prevC {
+			t.Fatalf("MaxIter %d: c=%.9f, want in [0.5, %g] and ≤ the shorter run's %.9f",
+				tc.maxIter, c, 0.5+tc.cSlack, prevC)
+		}
+		prevC = c
+	}
+}
+
+// TestLanczosMatchesConvergedReference checks LambdaMin against the
+// shifted power method run to convergence (1e-12, 100k-iteration cap).
+// On lfr-dense-20k seeds 1 and 3 that method needs ~15k iterations for
+// λmin; at its old 1000-iteration cap it returned an estimate off in the
+// 4th digit.
+func TestLanczosMatchesConvergedReference(t *testing.T) {
+	type input struct {
+		name string
+		gen  func(testing.TB, int64) *graph.Graph
+		seed int64
+	}
+	cases := []input{
+		{"lfr-smoke-2k/seed1", lfrSmoke, 1},
+		{"lfr-smoke-2k/seed2", lfrSmoke, 2},
+	}
+	if !testing.Short() {
+		cases = append(cases,
+			input{"lfr-dense-20k/seed1", lfrDense20k, 1},
+			input{"lfr-dense-20k/seed3", lfrDense20k, 3})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			g := tc.gen(t, tc.seed)
+			want, err := refLambdaMin(g, Options{MaxIter: 100000, Tol: 1e-12})
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			r := lanczos(g, Options{}.withDefaults())
+			if !r.converged {
+				t.Errorf("stopped on the step cap (%d steps), not the residual test", r.steps)
+			}
+			got, err := LambdaMin(g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != r.min {
+				t.Errorf("LambdaMin=%v but the run's θmin=%v", got, r.min)
+			}
+			if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-6 {
+				t.Errorf("λmin=%.9f after %d steps, converged reference %.9f (relative error %.2g)",
+					got, r.steps, want, rel)
+			}
+		})
 	}
 }
 
@@ -211,18 +393,21 @@ func TestDisconnected(t *testing.T) {
 	approx(t, "λmin", lmin, -1, 1e-2)
 }
 
+// TestDeterminism requires bit-equal results for a fixed seed, whatever
+// GOMAXPROCS is.
 func TestDeterminism(t *testing.T) {
-	g := cycle(50)
-	a, err := LambdaMin(g, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LambdaMin(g, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("same seed gave %g and %g", a, b)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, g := range []*graph.Graph{cycle(50), lfrSmoke(t, 1)} {
+		var want ritz
+		for i, procs := range []int{1, 2, 1} {
+			runtime.GOMAXPROCS(procs)
+			got := lanczos(g, Options{Seed: 7}.withDefaults())
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("GOMAXPROCS=%d gave %+v, first run gave %+v", procs, got, want)
+			}
+		}
 	}
 }
 
@@ -231,6 +416,18 @@ func BenchmarkLambdaMinCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := LambdaMin(g, Options{Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCLFRDense20k isolates the end-to-end benchmark's
+// spectral.c_ms line: C on its lfr-dense-20k input.
+func BenchmarkCLFRDense20k(b *testing.B) {
+	g := lfrDense20k(b, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := C(g, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,7 @@
 // for the paper's Wikipedia link graph (16 986 429 nodes, 176 454 501
 // edges), which is not redistributable at that vintage: an R-MAT or
 // preferential-attachment graph with matched density exercises exactly
-// the same OCA code paths (power method, seeded local search, merging)
+// the same OCA code paths (spectral c, seeded local search, merging)
 // with a realistic heavy-tailed degree distribution. See DESIGN.md §3.6.
 package synth
 
