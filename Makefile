@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/core/... ./internal/search/... ./internal/graph/... ./in
 COVER_PKGS := repro/internal/spectral repro/internal/server repro/internal/refresh repro/internal/shard repro/internal/index repro/internal/postprocess repro/internal/transport repro/internal/wal repro/internal/persist repro/internal/resilience repro/internal/faultinject
 COVER_MIN := 75
 
-.PHONY: build test race vet fmt-check bench-smoke bench-shard bench-refresh bench-refresh-smoke bench-recovery bench-recovery-smoke bench-search bench-search-smoke bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke run-cluster check clean
+.PHONY: build test race vet fmt-check bench-smoke bench-shard bench-refresh bench-refresh-smoke bench-recovery bench-recovery-smoke bench-search bench-search-smoke bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke test-shard-compose run-cluster check clean
 
 build:
 	$(GO) build ./...
@@ -149,6 +149,13 @@ test-chaos-smoke:
 # the full `make test-cluster` gate.
 test-migrate-smoke:
 	$(GO) test -run 'TestMultiProcessClusterMigration' -short -count=1 -v ./internal/transport
+
+# Rebalance x incremental-publish composition, repeated: the patched
+# snapshot assembly and the live migration share the worker's partition
+# map, so the suites that cross that seam must be green on every run,
+# not most (`make race` runs the same tests once under the detector).
+test-shard-compose:
+	$(GO) test -count=20 -run 'TestShardPatch|TestMigration' ./internal/shard
 
 # Local dev convenience: spawn SHARDS shard-server processes plus a
 # router on this machine (generating a demo LFR graph when GRAPH is

@@ -28,14 +28,17 @@
 //
 // # Seams for custom snapshot layers
 //
-// Config.BuildSnapshot lets a layer above assemble the published
-// Snapshot on full rebuilds (the shard layer filters ghost-only
-// communities and attaches ownership metadata via Snapshot.Aux);
-// Config.PatchSnapshot is its incremental counterpart, handed a
-// PatchContext describing exactly what changed so that layer can patch
-// its derived state in O(|dirty region|) too. SnapshotInfo is the
-// wire-serializable summary of a generation (with Snapshot.Restore as
-// the receiving half) used by the multi-process shard transport.
+// Every publish ends in one call to Config.Assemble, by default the
+// built-in Assemble: handed nil it builds index and stats from scratch
+// (full rebuilds, carry-overs; NewSnapshot is this form), handed a
+// PatchContext describing exactly what the batch changed it patches
+// them from the previous generation's. A layer above sets the hook to
+// wrap the built-in one — the shard layer filters ghost-only
+// communities, calls Assemble, and attaches ownership metadata via
+// Snapshot.Aux — so that layer's derived state is patched in
+// O(|dirty region|) too. SnapshotInfo is the wire-serializable summary
+// of a generation (with Snapshot.Restore as the receiving half) used by
+// the multi-process shard transport.
 //
 // By default the node set is fixed for the lifetime of a Worker;
 // Config.MaxNodes lets added edges name new node ids, growing the

@@ -3,6 +3,7 @@ package refresh
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -119,35 +120,99 @@ func TestRederiveDisabledKeepsPinnedC(t *testing.T) {
 	}
 }
 
-// TestBuildSnapshotHook checks the assembly hook: rebuilds publish
-// whatever the hook returns (here: a filtered cover with attached Aux),
-// which is how the shard layer drops ghost-only communities and ships
-// its translation tables.
+// TestBuildSnapshotHook checks the one assembly hook, Config.Assemble:
+// a full publish hands it no PatchContext, incremental and fastpath
+// publishes hand it one whose Kept/Removed describe the published cover
+// in patch order, and a hook that just calls the built-in Assemble
+// publishes exactly what a hook-less worker fed the same batches does —
+// which is what lets the shard layer wrap the built-in assembler with
+// its ghost filter and ownership metadata.
 func TestBuildSnapshotHook(t *testing.T) {
-	type meta struct{ communities int }
-	cfg := Config{
-		OCA:      core.Options{Seed: 1, C: 0.5},
-		Debounce: time.Millisecond,
-		BuildSnapshot: func(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, d time.Duration) *Snapshot {
-			s := NewSnapshot(g, cv, res, c, d)
-			s.Aux = &meta{communities: cv.Len()}
-			return s
-		},
+	type call struct {
+		pc    *PatchContext
+		comms []cover.Community // the hook's cover, in patch order
 	}
-	w := New(testSnapshot(t, twoCliques(), cfg.OCA), cfg)
-	w.Start()
-	t.Cleanup(w.Close)
-	if _, _, err := w.Enqueue([][2]int32{{0, 9}}, nil); err != nil {
-		t.Fatal(err)
+	var calls []call
+	// Three disjoint K6 cliques (0–5, 6–11, 12–17) and an uncovered
+	// fringe edge {18, 19}.
+	gb := graph.NewBuilder(20)
+	for base := int32(0); base < 18; base += 6 {
+		for i := base; i < base+6; i++ {
+			for j := i + 1; j < base+6; j++ {
+				gb.AddEdge(i, j)
+			}
+		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	snap, err := w.Flush(ctx)
-	if err != nil {
-		t.Fatal(err)
+	gb.AddEdge(18, 19)
+	g := gb.Build()
+	opt := core.Options{Seed: 3, C: 0.5}
+	cfg := Config{OCA: opt, Debounce: time.Millisecond, IncrementalThreshold: 0.5}
+	plain := New(testSnapshot(t, g, opt), cfg)
+	cfg.Assemble = func(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, d time.Duration, pc *PatchContext) *Snapshot {
+		calls = append(calls, call{pc, append([]cover.Community(nil), cv.Communities...)})
+		return Assemble(g, cv, res, c, d, pc)
 	}
-	m, ok := snap.Aux.(*meta)
-	if !ok || m.communities != snap.Cover.Len() {
-		t.Errorf("Aux = %#v, want hook-attached meta matching the cover", snap.Aux)
+	hooked := New(testSnapshot(t, g, opt), cfg)
+	for _, w := range []*Worker{plain, hooked} {
+		w.Start()
+		t.Cleanup(w.Close)
+	}
+
+	batches := []struct {
+		add, remove [][2]int32
+		mode        string
+	}{
+		{add: [][2]int32{{0, 6}}, mode: ModeFull},          // touches two of three communities
+		{add: [][2]int32{{12, 18}}, mode: ModeIncremental}, // touches one of three
+		{remove: [][2]int32{{18, 19}}, mode: ModeFastpath}, // touches none
+	}
+	for i, b := range batches {
+		old := hooked.Snapshot()
+		got, want := flushOne(t, hooked, b.add, b.remove), flushOne(t, plain, b.add, b.remove)
+		if got.RebuildMode != b.mode {
+			t.Fatalf("batch %d: rebuild_mode = %q, want %q", i, got.RebuildMode, b.mode)
+		}
+		if len(calls) != i+1 {
+			t.Fatalf("batch %d: hook ran %d times in total, want %d", i, len(calls), i+1)
+		}
+
+		pc, comms := calls[i].pc, calls[i].comms
+		if (pc == nil) != (b.mode == ModeFull) {
+			t.Fatalf("batch %d (%s): hook got pc = %v", i, b.mode, pc)
+		}
+		if pc != nil {
+			if pc.Old != old {
+				t.Fatalf("batch %d: pc.Old is not the previous generation", i)
+			}
+			if len(pc.Add) != len(b.add) || len(pc.Remove) != len(b.remove) {
+				t.Fatalf("batch %d: pc carries %d adds / %d removes, want %d / %d", i, len(pc.Add), len(pc.Remove), len(b.add), len(b.remove))
+			}
+			// Communities[:Kept] are exactly the previous generation's
+			// communities not flagged Removed, in their previous order.
+			if b.mode == ModeIncremental && len(pc.Removed) != old.Cover.Len() {
+				t.Fatalf("batch %d: Removed has %d flags for %d previous communities", i, len(pc.Removed), old.Cover.Len())
+			}
+			kept := []cover.Community{}
+			for ci, c := range old.Cover.Communities {
+				if pc.Removed == nil || !pc.Removed[ci] {
+					kept = append(kept, c)
+				}
+			}
+			if pc.Kept != len(kept) || !reflect.DeepEqual(comms[:pc.Kept], kept) {
+				t.Fatalf("batch %d: Kept = %d, carried prefix %v, want the %d unremoved previous communities %v", i, pc.Kept, comms[:pc.Kept], len(kept), kept)
+			}
+			if b.mode == ModeIncremental && (pc.Kept == 0 || pc.Kept == old.Cover.Len()) {
+				t.Fatalf("batch %d: Kept = %d of %d previous communities — the fixture should carry some and replace some", i, pc.Kept, old.Cover.Len())
+			}
+			if len(comms) != got.Cover.Len() {
+				t.Fatalf("batch %d: hook saw %d communities, published %d", i, len(comms), got.Cover.Len())
+			}
+		}
+
+		gs, ws := *got, *want
+		gs.BuiltAt, gs.BuildTime, ws.BuiltAt, ws.BuildTime = time.Time{}, 0, time.Time{}, 0
+		if !reflect.DeepEqual(gs, ws) {
+			t.Fatalf("batch %d (%s): hooked worker published\n%+v\nhook-less worker published\n%+v", i, b.mode, gs, ws)
+		}
 	}
 }

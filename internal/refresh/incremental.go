@@ -117,9 +117,9 @@ func dirtyRegion(cv *cover.Cover, touched, touchedComms []int32, n int) []int32 
 }
 
 // PatchContext describes what a fastpath or incremental rebuild
-// changed relative to the previous generation, handed to the
-// Config.PatchSnapshot hook so a custom snapshot layer can patch its
-// derived state instead of rebuilding it.
+// changed relative to the previous generation, handed to the assembler
+// (Config.Assemble) so the index, stats and any custom layer's derived
+// state are patched instead of rebuilt.
 type PatchContext struct {
 	// Old is the previous generation the new cover was derived from.
 	Old *Snapshot
@@ -141,52 +141,27 @@ type PatchContext struct {
 	Add, Remove [][2]int32
 }
 
-// splitOps separates a taken batch back into add and remove pairs for
-// the PatchContext.
-func splitOps(ops []op) (add, remove [][2]int32) {
+// patchContext describes a taken batch for the assembler, separating
+// its operations back into add and remove pairs.
+func patchContext(old *Snapshot, removed []bool, kept int, ops []op) *PatchContext {
+	pc := &PatchContext{Old: old, Removed: removed, Kept: kept}
 	for _, o := range ops {
 		if o.del {
-			remove = append(remove, [2]int32{o.u, o.v})
+			pc.Remove = append(pc.Remove, [2]int32{o.u, o.v})
 		} else {
-			add = append(add, [2]int32{o.u, o.v})
+			pc.Add = append(pc.Add, [2]int32{o.u, o.v})
 		}
 	}
-	return add, remove
+	return pc
 }
 
 // fastpathSnapshot publishes ng with the previous cover carried over
 // unchanged: no OCA, the index extended (shared outright when the node
-// set did not grow) and the stats reused.
-func (w *Worker) fastpathSnapshot(old *Snapshot, ng *graph.Graph, ops []op, buildSnap func(*graph.Graph, *cover.Cover, *core.Result, float64, time.Duration) *Snapshot, start time.Time) *Snapshot {
-	var snap *Snapshot
-	if w.cfg.PatchSnapshot != nil {
-		// The custom patch assembler (the shard layer) extends its index
-		// and metadata in place; the graph still changed, so it is told
-		// which edges did.
-		add, remove := splitOps(ops)
-		snap = w.cfg.PatchSnapshot(ng, old.Cover, old.Result, old.C, time.Since(start), &PatchContext{
-			Old:    old,
-			Kept:   old.Cover.Len(),
-			Add:    add,
-			Remove: remove,
-		})
-	} else if w.cfg.BuildSnapshot != nil {
-		// A custom snapshot assembler (the shard layer) owns index and
-		// metadata construction; only the OCA run is skipped.
-		snap = buildSnap(ng, old.Cover, old.Result, old.C, time.Since(start))
-	} else {
-		snap = &Snapshot{
-			Graph:     ng,
-			Cover:     old.Cover,
-			Index:     index.Patch(old.Index, nil, nil, ng.N()),
-			Stats:     old.Stats,
-			Result:    old.Result,
-			C:         old.C,
-			MaxDegree: ng.MaxDegree(),
-			BuildTime: time.Since(start),
-			BuiltAt:   time.Now(),
-		}
-	}
+// set did not grow) and the stats reused. The graph still changed, so
+// the assembler is told which edges did.
+func (w *Worker) fastpathSnapshot(old *Snapshot, ng *graph.Graph, ops []op, start time.Time) *Snapshot {
+	snap := w.cfg.Assemble(ng, old.Cover, old.Result, old.C, time.Since(start),
+		patchContext(old, nil, old.Cover.Len(), ops))
 	snap.RebuildMode = ModeFastpath
 	return snap
 }
@@ -251,44 +226,9 @@ func (w *Worker) incrementalSnapshot(old *Snapshot, ng *graph.Graph, opt core.Op
 	for _, id := range keptOld {
 		removedAll[id] = false
 	}
-	added := cv.Communities[kept:]
 
-	var snap *Snapshot
-	switch {
-	case w.cfg.PatchSnapshot != nil:
-		// The custom patch assembler (the shard layer) applies its own
-		// derived-state patches (ghost-filtered index, ownership
-		// metadata) from the same removal/addition description the
-		// built-in path below patches from.
-		add, remove := splitOps(ops)
-		snap = w.cfg.PatchSnapshot(ng, cv, res, res.C, time.Since(start), &PatchContext{
-			Old:     old,
-			Removed: removedAll,
-			Kept:    kept,
-			Add:     add,
-			Remove:  remove,
-		})
-	case w.cfg.BuildSnapshot != nil:
-		// A custom assembler without a patch hook rebuilds index/stats
-		// itself; the scoped OCA run and incremental merge are still the
-		// bulk of the savings.
-		snap = w.cfg.BuildSnapshot(ng, cv, res, res.C, time.Since(start))
-	default:
-		ix := index.Patch(old.Index, removedAll, added, ng.N())
-		affected := AffectedNodes(old.Cover, removedAll, added, ng.N())
-		stats := cover.PatchStats(old.Stats, cv, ng.N(), affected, old.Index.Degree, ix.Degree)
-		snap = &Snapshot{
-			Graph:     ng,
-			Cover:     cv,
-			Index:     ix,
-			Stats:     stats,
-			Result:    res,
-			C:         res.C,
-			MaxDegree: ng.MaxDegree(),
-			BuildTime: time.Since(start),
-			BuiltAt:   time.Now(),
-		}
-	}
+	snap := w.cfg.Assemble(ng, cv, res, res.C, time.Since(start),
+		patchContext(old, removedAll, kept, ops))
 	canonicalizeOrder(snap)
 	snap.RebuildMode = ModeIncremental
 	snap.DirtyNodes = len(dirty)
@@ -301,7 +241,7 @@ func (w *Worker) incrementalSnapshot(old *Snapshot, ng *graph.Graph, opt core.Op
 // match, so incremental generations expose the same deterministic
 // ordering as full rebuilds (core.Run sorts before returning). It must
 // run after all patch-order consumers: index.Patch's kept-prefix
-// contract and the PatchSnapshot hook both describe the cover in patch
+// contract and the PatchContext both describe the cover in patch
 // order, so sorting is the last assembly step — O(k log k +
 // memberships) against the O(|dirty region|) patch, and only when the
 // order actually changed. The fastpath is exempt: it aliases the
@@ -321,28 +261,27 @@ func canonicalizeOrder(snap *Snapshot) {
 
 // AffectedNodes lists (once each) the nodes whose membership degree may
 // differ between the previous cover and a patched one: members of
-// removed previous communities and of added ones. It is the node set a
-// stats patch must re-tally (see cover.PatchStats); the shard layer's
-// PatchSnapshot hook uses it with the same contract.
+// removed previous communities (removed is indexed by previous
+// community id; nil removes nothing) and of added ones. It is the node
+// set a stats patch must re-tally (see cover.PatchStats); the shard
+// layer patches its owned-only tallies over the same set.
 func AffectedNodes(oldCv *cover.Cover, removed []bool, added []cover.Community, n int) []int32 {
 	seen := ds.NewBitset(n)
 	var out []int32
-	for ci, c := range oldCv.Communities {
-		if !removed[ci] {
-			continue
-		}
+	collect := func(c cover.Community) {
 		for _, v := range c {
 			if v >= 0 && int(v) < n && seen.Add(v) {
 				out = append(out, v)
 			}
 		}
 	}
-	for _, c := range added {
-		for _, v := range c {
-			if v >= 0 && int(v) < n && seen.Add(v) {
-				out = append(out, v)
-			}
+	for ci, gone := range removed {
+		if gone {
+			collect(oldCv.Communities[ci])
 		}
+	}
+	for _, c := range added {
+		collect(c)
 	}
 	return out
 }

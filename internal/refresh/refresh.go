@@ -97,7 +97,7 @@ type Snapshot struct {
 	// BuiltAt is when this generation was published.
 	BuiltAt time.Time
 	// Aux carries layer-specific immutable metadata attached by a
-	// Config.BuildSnapshot hook (the shard layer stores its local→global
+	// Config.Assemble hook (the shard layer stores its local→global
 	// ownership tables here). Nil on the plain single-graph path.
 	Aux any
 	// RebuildMode records how this generation was computed: ModeFull,
@@ -117,13 +117,24 @@ type Snapshot struct {
 }
 
 // NewSnapshot assembles a Snapshot (index, stats, max degree) for the
-// given graph and cover. Gen is left for the caller to assign.
+// given graph and cover from scratch: Assemble with no PatchContext. Gen
+// is left for the caller to assign.
 func NewSnapshot(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration) *Snapshot {
-	return &Snapshot{
+	return Assemble(g, cv, res, c, buildTime, nil)
+}
+
+// Assemble is the built-in snapshot assembler and the default
+// Config.Assemble. With pc == nil the index and stats are built from
+// scratch (index.Build, Cover.Stats); with a PatchContext they are
+// patched from the previous generation's (index.Patch over the removed
+// and appended communities, cover.PatchStats over AffectedNodes) — cost
+// proportional to what the batch changed. cv must be in patch order:
+// Communities[:pc.Kept] carried, the rest appended. Gen is left zero and
+// RebuildMode is ModeFull until the worker stamps the mode it took.
+func Assemble(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *PatchContext) *Snapshot {
+	snap := &Snapshot{
 		Graph:       g,
 		Cover:       cv,
-		Index:       index.Build(cv, g.N()),
-		Stats:       cv.Stats(g.N()),
 		Result:      res,
 		C:           c,
 		MaxDegree:   g.MaxDegree(),
@@ -131,6 +142,21 @@ func NewSnapshot(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, b
 		BuiltAt:     time.Now(),
 		RebuildMode: ModeFull,
 	}
+	if pc == nil {
+		snap.Index = index.Build(cv, g.N())
+		snap.Stats = cv.Stats(g.N())
+		return snap
+	}
+	old, added := pc.Old, cv.Communities[pc.Kept:]
+	snap.Index = index.Patch(old.Index, pc.Removed, added, g.N())
+	snap.Stats = old.Stats
+	if len(pc.Removed) > 0 || len(added) > 0 {
+		// Ids the batch grew past the previous index's range report
+		// Degree 0 there, matching "did not exist, had no memberships".
+		affected := AffectedNodes(old.Cover, pc.Removed, added, g.N())
+		snap.Stats = cover.PatchStats(old.Stats, cv, g.N(), affected, old.Index.Degree, snap.Index.Degree)
+	}
+	return snap
 }
 
 // Config tunes a Worker. The zero value re-runs OCA with the paper's
@@ -181,23 +207,17 @@ type Config struct {
 	// serve a stale startup parameter forever. 0 pins the inherited c
 	// across all rebuilds (the cheap default).
 	RederiveCAfter float64
-	// BuildSnapshot, when set, assembles each rebuild's published
-	// Snapshot in place of NewSnapshot — the shard layer filters
-	// ghost-only communities and attaches ownership metadata (Aux) here.
+	// Assemble, when set, assembles every published Snapshot in place
+	// of the built-in Assemble (the default): from scratch when pc is
+	// nil — full rebuilds and carry-overs — and from a description of
+	// exactly what the batch changed (see PatchContext) on fastpath and
+	// incremental rebuilds, so a custom snapshot layer can patch its
+	// index, stats and metadata in O(|dirty region|) too. The shard
+	// layer filters ghost-only communities and attaches ownership
+	// metadata (Aux) here, calling the built-in Assemble for the rest.
 	// It must leave Gen zero (the worker assigns it) and may not mutate
-	// its inputs.
-	BuildSnapshot func(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration) *Snapshot
-	// PatchSnapshot, when set, assembles the published Snapshot for
-	// fastpath and incremental rebuilds from a description of exactly
-	// what the batch changed (see PatchContext), so a custom snapshot
-	// layer can patch its index, stats and metadata in O(|dirty
-	// region|) instead of rebuilding them from scratch — the reason the
-	// shard layer's ghost filtering no longer forces per-shard index
-	// rebuilds on the incremental path. Full rebuilds still go through
-	// BuildSnapshot. Like BuildSnapshot it must leave Gen zero and may
-	// not mutate its inputs; when nil, fastpath and incremental
-	// rebuilds fall back to BuildSnapshot (or the built-in patch path).
-	PatchSnapshot func(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *PatchContext) *Snapshot
+	// its inputs; it may ignore pc and assemble from scratch.
+	Assemble func(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *PatchContext) *Snapshot
 	// LogBatch, when set, is called by Enqueue after a batch passes
 	// validation and the backlog check but before it is queued, with the
 	// worker's cumulative op count including the batch. An error rejects
@@ -284,6 +304,9 @@ func New(initial *Snapshot, cfg Config) *Worker {
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = DefaultMaxPending
+	}
+	if cfg.Assemble == nil {
+		cfg.Assemble = Assemble
 	}
 	if initial.Gen == 0 {
 		initial.Gen = 1
@@ -606,10 +629,6 @@ func (w *Worker) rebuild() {
 		return
 	}
 
-	buildSnap := w.cfg.BuildSnapshot
-	if buildSnap == nil {
-		buildSnap = NewSnapshot
-	}
 	opt := w.cfg.OCA
 	w.opsSinceC += uint64(len(ops))
 	rederive := w.cfg.RederiveCAfter > 0 && ng.M() > 0 &&
@@ -647,7 +666,7 @@ func (w *Worker) rebuild() {
 	)
 	switch mode {
 	case ModeFastpath:
-		snap = w.fastpathSnapshot(old, ng, ops, buildSnap, start)
+		snap = w.fastpathSnapshot(old, ng, ops, start)
 		// The cover is untouched, but the graph changed at the mutated
 		// endpoints: results computed there are not reusable downstream.
 		snap.Dirty = touched
@@ -665,22 +684,21 @@ func (w *Worker) rebuild() {
 				opt.Warm = old.Cover.Communities
 			}
 		}
+		// On failure the new graph publishes with the previous cover
+		// carried over: mutations never shrink the node set, so the old
+		// communities are still a valid (if stale) cover, and readers keep
+		// getting answers.
+		cv, c := old.Cover, old.C
 		var res *core.Result
 		if err == nil {
-			res, err = core.Run(ng, opt)
-		}
-		if err != nil {
-			// Publish the new graph with the previous cover carried over:
-			// mutations never shrink the node set, so the old communities
-			// are still a valid (if stale) cover, and readers keep getting
-			// answers.
-			snap = buildSnap(ng, old.Cover, nil, old.C, time.Since(start))
-		} else {
-			if rederive {
-				w.opsSinceC = 0
+			if res, err = core.Run(ng, opt); err == nil {
+				cv, c = res.Cover, res.C
+				if rederive {
+					w.opsSinceC = 0
+				}
 			}
-			snap = buildSnap(ng, res.Cover, res, res.C, time.Since(start))
 		}
+		snap = w.cfg.Assemble(ng, cv, res, c, time.Since(start), nil)
 		snap.RebuildMode = ModeFull
 	}
 	snap.Gen = old.Gen + 1

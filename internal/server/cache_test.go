@@ -332,6 +332,13 @@ func TestSearchCacheCarryForwardEqualsFresh(t *testing.T) {
 		t.Fatalf("rebuild_mode = %q, want incremental (test premise)", st.RebuildMode)
 	}
 
+	// The carry runs in the worker's publish hook, which fires after the
+	// wait:true caller is released: wait for the hook, not for luck.
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if cs := s.cache.stats(); cs.CarriedForward+cs.CarryDropped > 0 {
+			break
+		}
+	}
 	after := searchBody(t, ts.URL, req)
 	if !after.Cached {
 		t.Fatalf("entry not carried across an untouched incremental publish (stats %+v)", s.cache.stats())

@@ -12,6 +12,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/lfr"
+	"repro/internal/refresh"
 )
 
 // shardedConfig serves the two-clique graph across k shards with a
@@ -252,6 +255,95 @@ func TestShardedEdgesAndGrowth(t *testing.T) {
 	// Past the cap: rejected atomically.
 	if code := postJSON(t, ts.URL+"/v1/edges", EdgesRequest{Add: [][2]int32{{0, 64}}}, nil); code != http.StatusBadRequest {
 		t.Errorf("past-cap growth status = %d, want 400", code)
+	}
+}
+
+// TestShardedStatsAfterRebalance composes a live rebalance with
+// incremental publishes on the public surface: after class-0 ids below
+// 60 move from shard 0 to shard 1, wait:true edge additions between the
+// migrated nodes must keep /v1/cover/stats exact — nodes and edges
+// equal to an oracle graph fed the same additions, covered_nodes equal
+// to the number of ids whose lookup returns a community. A shard that
+// patches its owned-only tallies under the modulo-K base instead of the
+// current partition map stops counting the new edges.
+func TestShardedStatsAfterRebalance(t *testing.T) {
+	bench, err := lfr.Generate(lfr.Params{
+		N: 120, AvgDeg: 10, MaxDeg: 20, Mu: 0.05,
+		MinCom: 15, MaxCom: 30, Seed: 3,
+	})
+	if err != nil {
+		t.Fatalf("lfr.Generate: %v", err)
+	}
+	oracle := bench.Graph
+	s, err := New(oracle, Config{
+		OCA:                  core.Options{Seed: 5, C: 0.5},
+		Shards:               3,
+		RefreshDebounce:      time.Millisecond,
+		IncrementalThreshold: 0.4,
+	})
+	if err != nil {
+		t.Fatalf("New sharded: %v", err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	checkStats := func(when string) statsResponse {
+		t.Helper()
+		var st statsResponse
+		if code := getJSON(t, ts.URL+"/v1/cover/stats", &st); code != http.StatusOK {
+			t.Fatalf("%s: stats status = %d", when, code)
+		}
+		if st.Nodes != oracle.N() || st.Edges != oracle.M() {
+			t.Fatalf("%s: stats report %d nodes / %d edges, the graph has %d / %d", when, st.Nodes, st.Edges, oracle.N(), oracle.M())
+		}
+		covered := 0
+		for id := 0; id < oracle.N(); id++ {
+			var lu nodeCommunitiesResponse
+			if code := getJSON(t, fmt.Sprintf("%s/v1/node/%d/communities", ts.URL, id), &lu); code != http.StatusOK {
+				t.Fatalf("%s: lookup of node %d status = %d", when, id, code)
+			}
+			if lu.Count > 0 {
+				covered++
+			}
+		}
+		if st.CoveredNodes != covered {
+			t.Fatalf("%s: stats report %d covered nodes, %d ids look up a community", when, st.CoveredNodes, covered)
+		}
+		return st
+	}
+	checkStats("at boot")
+
+	var rr rebalanceResponse
+	if code := postJSON(t, ts.URL+"/v1/admin/rebalance", rebalanceRequest{Lo: 0, Hi: 60, From: 0, To: 1}, &rr); code != http.StatusOK || rr.Epoch != 1 {
+		t.Fatalf("rebalance status = %d, response %+v", code, rr)
+	}
+	checkStats("after the flip")
+
+	// New edges between migrated ids (multiples of 3 below 60), one
+	// wait:true batch each; all of them land on the receiver alone.
+	incremental := 0
+	for u := int32(0); u < 60 && incremental < 6; u += 3 {
+		v := (u + 27) % 60
+		if oracle.HasEdge(u, v) {
+			continue
+		}
+		d := graph.NewDelta(oracle)
+		if err := d.AddEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+		oracle = d.Apply()
+		var er EdgesResponse
+		if code := postJSON(t, ts.URL+"/v1/edges", EdgesRequest{Add: [][2]int32{{u, v}}, Wait: true}, &er); code != http.StatusOK || !er.Applied {
+			t.Fatalf("edges status = %d, response %+v", code, er)
+		}
+		st := checkStats(fmt.Sprintf("after adding {%d, %d}", u, v))
+		if st.Shards[1].RebuildMode == refresh.ModeIncremental {
+			incremental++
+		}
+	}
+	if incremental == 0 {
+		t.Fatal("no receiver publish after the flip took the incremental path — rebalance × incremental went unexercised")
 	}
 }
 

@@ -22,9 +22,11 @@
 //   - Worker is one shard's authoritative engine: the shard graph kept
 //     live by its own refresh.Worker, the append-only global↔local
 //     translation table, ghost filtering and ownership metadata (Meta)
-//     on every published generation — assembled by a full rebuild
-//     (BuildSnapshot hook) or patched in O(|dirty region|) on
-//     fastpath/incremental rebuilds (PatchSnapshot hook).
+//     on every published generation — all through one
+//     refresh.Config.Assemble hook (Worker.assemble, patch.go) deciding
+//     ownership with one predicate over the current PartitionMap:
+//     from scratch on full rebuilds and epoch changes, patched in
+//     O(|dirty region|) on fastpath/incremental rebuilds.
 //   - Backend is the seam the Router fans out over: Worker implements
 //     it in-process, and internal/transport's Client implements it
 //     over the wire (each shard in its own process), shipping

@@ -10,10 +10,11 @@ import (
 	"repro/internal/graph"
 )
 
-// Partition is the deterministic node→shard assignment: node v belongs
-// to shard v mod K. The zero value is invalid; use NewPartition.
+// Partition is the deterministic node→shard assignment a graph is first
+// split under: node v belongs to shard v mod K, i.e. the epoch-0
+// PartitionMap. The zero value is invalid; use NewPartition.
 type Partition struct {
-	k int
+	pm PartitionMap
 }
 
 // NewPartition returns the modulo-K partition. K must be at least 1.
@@ -21,15 +22,15 @@ func NewPartition(k int) (Partition, error) {
 	if k < 1 {
 		return Partition{}, fmt.Errorf("shard: K=%d must be at least 1", k)
 	}
-	return Partition{k: k}, nil
+	return Partition{pm: PartitionMap{K: k}}, nil
 }
 
 // K returns the number of shards.
-func (p Partition) K() int { return p.k }
+func (p Partition) K() int { return p.pm.K }
 
 // Shard returns the shard owning node v. Negative ids are the caller's
 // responsibility to reject.
-func (p Partition) Shard(v int32) int { return int(v % int32(p.k)) }
+func (p Partition) Shard(v int32) int { return p.pm.ShardOf(v) }
 
 // Piece is one shard's slice of a Split graph: the owned nodes plus a
 // ghost halo of their cross-shard neighbors, renumbered to a dense
@@ -88,7 +89,7 @@ func SplitOne(g *graph.Graph, k, s int) (Piece, error) {
 func splitOne(g *graph.Graph, p Partition, s, n int) Piece {
 	// Owned nodes ascending, then their cross-shard neighbors ascending.
 	var locals []int32
-	for v := int32(s); int(v) < n; v += int32(p.k) {
+	for v := int32(s); int(v) < n; v += int32(p.K()) {
 		locals = append(locals, v)
 	}
 	owned := len(locals)

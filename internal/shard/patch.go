@@ -1,17 +1,19 @@
 package shard
 
-// The shard layer's incremental snapshot assembly: the
-// refresh.Config.PatchSnapshot hook. Before this hook existed, every
-// per-shard fastpath/incremental rebuild went through buildSnapshot —
-// a full index.Build, Stats re-tally and O(n+m) Meta scan — because
-// ghost filtering invalidated the built-in patch contract. The hook
-// restores cost ∝ |dirty region| on the shard path: fresh communities
-// are ghost-filtered on their own (carried communities survived the
-// previous generation's filter, so they need no re-check), the index
-// and overlap stats are patched with the same primitives as the
-// unsharded path (index.Patch, cover.PatchStats), and the ownership
-// Meta is adjusted from the batch's effective edge delta and the
-// affected nodes' membership changes instead of rescanned.
+// The shard layer's snapshot assembly: the one refresh.Config.Assemble
+// hook. Every per-shard generation — from scratch or patched — passes
+// through Worker.assemble, which decides ownership with one predicate
+// (ownsLocal, over the worker's current PartitionMap) and uses it to
+// ghost-filter the cover, then lets refresh.Assemble build or patch the
+// index and overlap stats, then attaches the ownership Meta. On the
+// patched path only the fresh communities are filtered: the carried
+// prefix survived the previous generation's filter under the same map,
+// and the incremental merge only unions members into carried
+// communities. That argument needs the map to be the one the previous
+// generation was filtered under, hence the epoch rule: a patched
+// generation inherits its predecessor's epoch, and when the map's epoch
+// has moved on the hook ignores the PatchContext and assembles from
+// scratch — O(n+m) once per epoch change per shard.
 
 import (
 	"time"
@@ -19,85 +21,46 @@ import (
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/graph"
-	"repro/internal/index"
 	"repro/internal/refresh"
 )
 
-// patchSnapshot is the refresh.Config.PatchSnapshot hook: assemble the
-// published per-shard snapshot for a fastpath or incremental rebuild by
-// patching the previous generation's derived state. It falls back to
-// buildSnapshot when the previous generation lacks the shard metadata
-// the patch starts from (never the case for worker-published
-// generations; defensive only).
-func (w *Worker) patchSnapshot(ng *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *refresh.PatchContext) *refresh.Snapshot {
-	old := pc.Old
-	oldMeta, ok := old.Aux.(*Meta)
-	if !ok || old.Index == nil {
-		return w.buildSnapshot(ng, cv, res, c, buildTime)
-	}
-	locals := w.localsPrefix(ng.N())
-	owns := func(l int32) bool { return int(locals[l])%w.k == w.id }
+// assemble is the refresh.Config.Assemble hook (and, with pc == nil,
+// how the worker's first generation is built): drop ghost-only
+// communities, assemble index/stats through refresh.Assemble, attach
+// the shard Meta — built by buildMeta from scratch, or adjusted by
+// patchMeta in O(|batch| + |affected|) when pc describes what changed.
+func (w *Worker) assemble(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *refresh.PatchContext) *refresh.Snapshot {
+	pm := w.pm.Load()
+	locals := w.localsPrefix(g.N())
+	owns := ownsLocal(pm, w.id, locals)
 
-	// Ghost filtering applies to the fresh communities only: the carried
-	// prefix survived the previous generation's filter, and the
-	// incremental merge only unions members into them.
-	added := cv.Communities[pc.Kept:]
-	fresh := make([]cover.Community, 0, len(added))
-	for _, cm := range added {
-		for _, l := range cm {
-			if owns(l) {
-				fresh = append(fresh, cm)
-				break
-			}
+	var oldMeta *Meta
+	from := 0 // first community still to be ghost-filtered
+	if pc != nil {
+		if oldMeta, _ = pc.Old.Aux.(*Meta); oldMeta != nil && oldMeta.Epoch == pm.Epoch {
+			from = pc.Kept
+		} else {
+			pc = nil // nothing to patch from, or filtered under another map
 		}
 	}
-	newCv := cv
-	if len(fresh) != len(added) {
-		kept := cv.Communities[:pc.Kept:pc.Kept]
-		newCv = cover.NewCover(append(kept, fresh...))
+	snap := refresh.Assemble(g, filterOwned(cv, from, owns), res, c, buildTime, pc)
+	if pc == nil {
+		snap.Aux = buildMeta(w.id, pm, g, snap.Index, locals)
+	} else {
+		snap.Aux = patchMeta(oldMeta, pc, snap, locals, owns)
 	}
-
-	ix := index.Patch(old.Index, pc.Removed, fresh, ng.N())
-	stats := old.Stats
-	var affected []int32
-	if len(pc.Removed) > 0 || len(fresh) > 0 {
-		affected = refresh.AffectedNodes(old.Cover, pc.Removed, fresh, ng.N())
-		// Ids the batch grew past the previous index's range report
-		// Degree 0 there, matching "did not exist, had no memberships".
-		stats = cover.PatchStats(old.Stats, newCv, ng.N(), affected, old.Index.Degree, ix.Degree)
-	}
-
-	return &refresh.Snapshot{
-		Graph:     ng,
-		Cover:     newCv,
-		Index:     ix,
-		Stats:     stats,
-		Result:    res,
-		C:         c,
-		MaxDegree: ng.MaxDegree(),
-		BuildTime: buildTime,
-		BuiltAt:   time.Now(),
-		Aux:       w.patchMeta(oldMeta, old, ng, locals, affected, old.Index.Degree, ix, pc),
-	}
+	return snap
 }
 
 // patchMeta adjusts the previous generation's ownership metadata for
 // the batch: O(|batch| + |affected|) instead of buildMeta's O(n + m)
 // rescan, except the rare full membership re-scan when the owned
 // membership maximum may have shrunk (mirroring cover.PatchStats).
-func (w *Worker) patchMeta(oldMeta *Meta, old *refresh.Snapshot, ng *graph.Graph, locals []int32, affected []int32, oldDeg func(int32) int, ix *index.Membership, pc *refresh.PatchContext) *Meta {
-	m := &Meta{
-		Shard:              w.id,
-		K:                  w.k,
-		Locals:             locals,
-		OwnedNodes:         oldMeta.OwnedNodes,
-		OwnedEdges:         oldMeta.OwnedEdges,
-		CoveredOwned:       oldMeta.CoveredOwned,
-		OverlapOwned:       oldMeta.OverlapOwned,
-		OwnedMemberships:   oldMeta.OwnedMemberships,
-		MaxMembershipOwned: oldMeta.MaxMembershipOwned,
-	}
-	owns := func(l int32) bool { return int(locals[l])%w.k == w.id }
+// Shard, K and Epoch are the predecessor's (see the epoch rule above).
+func patchMeta(oldMeta *Meta, pc *refresh.PatchContext, snap *refresh.Snapshot, locals []int32, owns func(int32) bool) *Meta {
+	old, ng, ix := pc.Old, snap.Graph, snap.Index
+	m := *oldMeta
+	m.Locals = locals
 
 	// Node growth: every local id past the previous graph is new here
 	// (owned only when a mutation named a new globally-owned id).
@@ -151,11 +114,11 @@ func (w *Worker) patchMeta(oldMeta *Meta, old *refresh.Snapshot, ng *graph.Graph
 	// Membership tallies over the affected owned nodes, mirroring
 	// cover.PatchStats for the owned-only aggregates.
 	maxMayDrop := false
-	for _, v := range affected {
+	for _, v := range refresh.AffectedNodes(old.Cover, pc.Removed, snap.Cover.Communities[pc.Kept:], ng.N()) {
 		if !owns(v) {
 			continue
 		}
-		od, nd := oldDeg(v), ix.Degree(v)
+		od, nd := old.Index.Degree(v), ix.Degree(v)
 		if od == nd {
 			continue
 		}
@@ -190,5 +153,5 @@ func (w *Worker) patchMeta(oldMeta *Meta, old *refresh.Snapshot, ng *graph.Graph
 		}
 		m.MaxMembershipOwned = max
 	}
-	return m
+	return &m
 }

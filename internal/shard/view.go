@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"slices"
+
 	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/index"
@@ -43,14 +45,19 @@ type Meta struct {
 	MaxMembershipOwned int
 }
 
-// buildMeta computes a snapshot's Meta from its graph, index and
-// translation table. Ownership is evaluated under pm — the modulo-K
-// base plus any rebalanced range overrides.
+// ownsLocal is the shard layer's one ownership predicate: whether the
+// node with the given local id belongs to shardID under pm — the
+// modulo-K base plus any rebalanced range overrides. Ghost filtering
+// and every owned-only tally decide ownership through it.
+func ownsLocal(pm *PartitionMap, shardID int, locals []int32) func(int32) bool {
+	return func(local int32) bool { return pm.ShardOf(locals[local]) == shardID }
+}
+
+// buildMeta computes a snapshot's Meta from scratch from its graph,
+// index and translation table, with ownership evaluated under pm.
 func buildMeta(shardID int, pm *PartitionMap, g *graph.Graph, ix *index.Membership, locals []int32) *Meta {
 	m := &Meta{Shard: shardID, K: pm.K, Epoch: pm.Epoch, Locals: locals}
-	owns := func(local int32) bool {
-		return pm.ShardOf(locals[local]) == shardID
-	}
+	owns := ownsLocal(pm, shardID, locals)
 	for l := int32(0); int(l) < g.N(); l++ {
 		if owns(l) {
 			m.OwnedNodes++
@@ -60,12 +67,8 @@ func buildMeta(shardID int, pm *PartitionMap, g *graph.Graph, ix *index.Membersh
 		}
 	}
 	g.Edges(func(lu, lv int32) bool {
-		gu, gv := locals[lu], locals[lv]
-		ou, ov := pm.ShardOf(gu) == shardID, pm.ShardOf(gv) == shardID
-		switch {
-		case ou && ov:
-			m.OwnedEdges++
-		case ou && gu < gv, ov && gv < gu:
+		ou, ov := owns(lu), owns(lv)
+		if (ou && ov) || (ou && locals[lu] < locals[lv]) || (ov && locals[lv] < locals[lu]) {
 			m.OwnedEdges++
 		}
 		return true
@@ -74,30 +77,21 @@ func buildMeta(shardID int, pm *PartitionMap, g *graph.Graph, ix *index.Membersh
 	return m
 }
 
-// filterOwned drops communities containing no owned node — artifacts of
-// ghost-seeded searches that some other shard serves authoritatively.
-// When nothing is dropped the input cover is returned as-is.
-func filterOwned(cv *cover.Cover, locals []int32, pm *PartitionMap, shardID int) *cover.Cover {
+// filterOwned drops the communities of cv.Communities[from:] containing
+// no owned node — artifacts of ghost-seeded searches that some other
+// shard serves authoritatively. When nothing is dropped the input cover
+// is returned as-is.
+func filterOwned(cv *cover.Cover, from int, owns func(int32) bool) *cover.Cover {
 	if cv == nil {
 		return cover.NewCover(nil)
 	}
-	kept := cv.Communities[:0:0]
-	dropped := false
-	for _, c := range cv.Communities {
-		owned := false
-		for _, l := range c {
-			if pm.ShardOf(locals[l]) == shardID {
-				owned = true
-				break
-			}
-		}
-		if owned {
+	kept := cv.Communities[:from:from]
+	for _, c := range cv.Communities[from:] {
+		if slices.ContainsFunc(c, owns) {
 			kept = append(kept, c)
-		} else {
-			dropped = true
 		}
 	}
-	if !dropped {
+	if len(kept) == cv.Len() {
 		return cv
 	}
 	return cover.NewCover(kept)

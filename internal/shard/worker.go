@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cover"
-	"repro/internal/graph"
 	"repro/internal/refresh"
 	"repro/internal/spectral"
 )
@@ -136,7 +135,7 @@ func NewWorker(pc Piece, k int, cfg Config, maxNodes int) (*Worker, error) {
 		}
 		cv = res.Cover
 	}
-	snap := w.buildSnapshot(pg, cv, res, c, time.Since(start))
+	snap := w.assemble(pg, cv, res, c, time.Since(start), nil)
 
 	wopt := cfg.OCA
 	wopt.C = c // pin the shard's derived c; RederiveCAfter handles drift
@@ -167,7 +166,7 @@ func NewWorkerFromSnapshot(snap *refresh.Snapshot, table []int32, shardID, k int
 	for l, gv := range w.locals {
 		w.index[gv] = int32(l)
 	}
-	restored := w.buildSnapshot(snap.Graph, snap.Cover, snap.Result, snap.C, snap.BuildTime)
+	restored := w.assemble(snap.Graph, snap.Cover, snap.Result, snap.C, snap.BuildTime, nil)
 	restored.Gen, restored.Seq = snap.Gen, snap.Seq
 	restored.BuiltAt = snap.BuiltAt
 	restored.RebuildMode = snap.RebuildMode
@@ -183,7 +182,7 @@ func NewWorkerFromSnapshot(snap *refresh.Snapshot, table []int32, shardID, k int
 }
 
 // refreshConfig assembles the shard worker's refresh.Config, wiring
-// the snapshot-assembly hooks and translating the shard-level publish
+// the snapshot-assembly hook and translating the shard-level publish
 // and WAL hooks onto the refresh-level ones.
 func (w *Worker) refreshConfig(cfg Config, wopt core.Options) refresh.Config {
 	wcfg := refresh.Config{
@@ -197,8 +196,7 @@ func (w *Worker) refreshConfig(cfg Config, wopt core.Options) refresh.Config {
 		MaxNodes:             w.maxNodes,
 		RederiveCAfter:       cfg.RederiveCAfter,
 		IncrementalThreshold: cfg.IncrementalThreshold,
-		BuildSnapshot:        w.buildSnapshot,
-		PatchSnapshot:        w.patchSnapshot,
+		Assemble:             w.assemble,
 	}
 	if cfg.OnSwap != nil {
 		wcfg.OnSwap = func(snap *refresh.Snapshot) { cfg.OnSwap(w.id, snap) }
@@ -318,17 +316,6 @@ func (w *Worker) Table() []int32 {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return w.locals[:len(w.locals):len(w.locals)]
-}
-
-// buildSnapshot is the refresh.Config.BuildSnapshot hook: it drops
-// ghost-only communities and attaches the shard Meta for this
-// generation's node set.
-func (w *Worker) buildSnapshot(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration) *refresh.Snapshot {
-	locals := w.localsPrefix(g.N())
-	pm := w.pm.Load()
-	snap := refresh.NewSnapshot(g, filterOwned(cv, locals, pm, w.id), res, c, buildTime)
-	snap.Aux = buildMeta(w.id, pm, g, snap.Index, locals)
-	return snap
 }
 
 // View returns the shard's current published generation with its id

@@ -209,9 +209,9 @@ func (s *ReplicaServer) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSnapshot re-serves the mirrored generation — the same `?since`
-// resolution a primary offers, so a router following this replica (or
-// tooling) needs no special casing. The table is captured after the
-// mirror load: replication is append-only, so the capture is a
+// resolution a primary offers (serveSnapshot), so a router following
+// this replica (or tooling) needs no special casing. Replication is
+// append-only, so the table copy taken after the mirror load is a
 // superset of the generation's prefix, the same invariant the primary
 // maintains.
 func (s *ReplicaServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -221,20 +221,7 @@ func (s *ReplicaServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusServiceUnavailable, "", "no snapshot mirrored from primary yet")
 		return
 	}
-	snap := m.snap
-	if sinceStr := r.URL.Query().Get("since"); sinceStr != "" {
-		since, err := strconv.ParseUint(sinceStr, 10, 64)
-		if err != nil {
-			writeCode(w, http.StatusBadRequest, CodeBadRequest, "invalid since=%q", sinceStr)
-			return
-		}
-		if snap.Gen <= since {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", ContentTypeSnapshot)
-	_ = encodeSnapshot(w, s.shardID, s.k, snap, s.c.tableCopy())
+	serveSnapshot(w, r, s.shardID, s.k, m.snap, s.c.tableCopy)
 }
 
 // handleLookup answers from the mirror — deliberately even while the

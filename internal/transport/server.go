@@ -159,13 +159,19 @@ func (s *ShardServer) handleMapPost(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, MapResponse{Epoch: act.Epoch, Map: act.Encode()})
 }
 
-// handleSnapshot streams the published generation, or 304 when the
-// client's ?since generation is already current. The table is captured
-// after the snapshot load: the mapping is append-only, so the capture
-// is always a superset of the generation's prefix and the next apply's
-// base reconciliation stays consistent.
+// handleSnapshot streams the published generation (see serveSnapshot).
 func (s *ShardServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap := s.w.Snapshot()
+	serveSnapshot(w, r, s.w.Shard(), s.w.K(), s.w.Snapshot(), s.w.Table)
+}
+
+// serveSnapshot answers GET /shard/v1/snapshot for one loaded
+// generation — shared by the primary (worker snapshot) and replica
+// (mirror) paths: the snapshot stream, or 304 when the client's ?since
+// generation is already current. table is called after the snapshot
+// load and only when a body is sent: the mapping is append-only, so the
+// capture is always a superset of the generation's prefix and the next
+// apply's base reconciliation stays consistent.
+func serveSnapshot(w http.ResponseWriter, r *http.Request, shardID, k int, snap *refresh.Snapshot, table func() []int32) {
 	if sinceStr := r.URL.Query().Get("since"); sinceStr != "" {
 		since, err := strconv.ParseUint(sinceStr, 10, 64)
 		if err != nil {
@@ -178,7 +184,7 @@ func (s *ShardServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", ContentTypeSnapshot)
-	_ = encodeSnapshot(w, s.w.Shard(), s.w.K(), snap, s.w.Table())
+	_ = encodeSnapshot(w, shardID, k, snap, table())
 }
 
 func (s *ShardServer) decode(w http.ResponseWriter, r *http.Request, v any) bool {
