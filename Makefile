@@ -12,13 +12,21 @@ RACE_PKGS := ./internal/core/... ./internal/search/... ./internal/graph/... ./in
 COVER_PKGS := repro/internal/spectral repro/internal/server repro/internal/refresh repro/internal/shard repro/internal/index repro/internal/postprocess repro/internal/transport repro/internal/wal repro/internal/persist repro/internal/resilience repro/internal/faultinject
 COVER_MIN := 75
 
-.PHONY: build test race vet fmt-check bench-smoke bench-shard bench-refresh bench-refresh-smoke bench-recovery bench-recovery-smoke bench-search bench-search-smoke bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke test-shard-compose run-cluster check clean
+.PHONY: build test test-slow race vet fmt-check bench-smoke bench-shard bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke test-shard-compose run-cluster check clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The tests `make test` leaves out for time (//go:build slow): the
+# Lanczos kernel against the shifted power method run to convergence on
+# the benchmark's lfr-dense-20k input (15-30k reference iterations per
+# seed, ~40 s). The 2k-node legs of the same comparison stay in
+# `make test`.
+test-slow:
+	$(GO) test -tags slow -run ConvergedReference ./internal/spectral
 
 # Race-detector run over the concurrency-bearing packages (OCA's worker
 # fan-out, the search state pool, the refresh worker's atomic snapshot
@@ -44,47 +52,6 @@ bench-smoke:
 # router's fan-out overhead must stay small against the K=1 baseline.
 bench-shard:
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterBatchLookup' -benchtime 2s ./internal/shard
-
-# Incremental-rebuild gate on a ~50k-node LFR graph: rebuild latency vs
-# mutation batch size, incremental vs full vs cold, with an NMI
-# equivalence ladder. Fails unless the 100-mutation incremental rebuild
-# is ≥5x faster than the cold rebuild path at NMI ≥ 0.98; writes the
-# evidence to BENCH_refresh.json.
-bench-refresh:
-	$(GO) run ./cmd/refreshbench -out BENCH_refresh.json
-
-# CI smoke version: small graph, paths exercised (mode + NMI floor
-# enforced), latencies reported but not judged.
-bench-refresh-smoke:
-	$(GO) run ./cmd/refreshbench -short -out BENCH_refresh_smoke.json
-
-# Restart-recovery gate on a ~50k-node LFR graph: crash recovery
-# (newest segment mmap + WAL-tail replay) must be ≥5x faster than the
-# cold ready-to-serve path (spectral c + full OCA) AND bit-identical to
-# the pre-crash cover at the pre-crash generation; writes the evidence
-# to BENCH_recovery.json.
-bench-recovery:
-	$(GO) run ./cmd/recoverybench -out BENCH_recovery.json
-
-# CI smoke version: small graph, recovery exactness enforced, speedup
-# reported but not judged.
-bench-recovery-smoke:
-	$(GO) run ./cmd/recoverybench -short -out BENCH_recovery_smoke.json
-
-# Seeded-search hot-path gate: two identical serving stacks (result
-# cache on vs off) under a skewed read/write load on a dense LFR
-# graph. Fails unless the cached hot-seed p99 beats uncached by ≥5x at
-# NMI-equivalent results, a 64-way identical-request stampede runs
-# exactly one search, and a cache entry survives an untouched
-# incremental publish; writes the evidence to BENCH_search.json.
-bench-search:
-	$(GO) run ./cmd/loadgen -out BENCH_search.json
-
-# CI smoke version: small graph, functional gates (single search per
-# stampede, carry-forward, NMI floor) enforced, latencies reported but
-# not judged.
-bench-search-smoke:
-	$(GO) run ./cmd/loadgen -short -out BENCH_search_smoke.json
 
 # End-to-end benchmark smoke (benchmark/, declared in BENCHMARK.json):
 # every workload briefly against real ocad processes on a 2k-node graph
@@ -173,4 +140,4 @@ examples:
 check: build vet fmt-check test race cover-check examples
 
 clean:
-	rm -f BENCH_smoke.json BENCH_refresh_smoke.json BENCH_recovery.json BENCH_recovery_smoke.json BENCH_search_smoke.json cover.txt
+	rm -f BENCH_smoke.json cover.txt

@@ -284,16 +284,12 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-	} else if *shards > 1 {
-		log.Printf("running OCA across %d shards (seed %d)...", *shards, *seed)
-		start := time.Now()
-		srv, err = server.New(g, cfg)
-		if err != nil {
-			return err
-		}
-		log.Printf("%d shard covers ready in %v", *shards, time.Since(start).Round(time.Millisecond))
 	} else {
-		if !*lazy {
+		// -lazy with -shards > 1 was rejected above.
+		switch {
+		case *shards > 1:
+			log.Printf("running OCA across %d shards (seed %d)...", *shards, *seed)
+		case !*lazy:
 			log.Printf("running OCA (seed %d)...", *seed)
 		}
 		start := time.Now()
@@ -301,7 +297,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if !*lazy {
+		switch {
+		case *shards > 1:
+			log.Printf("%d shard covers ready in %v", *shards, time.Since(start).Round(time.Millisecond))
+		case !*lazy:
 			cv, err := srv.Cover()
 			if err != nil {
 				return err

@@ -258,10 +258,11 @@ func ReplaySingle(st *State, cfg ReplayConfig) (*refresh.Snapshot, error) {
 	return snap, nil
 }
 
-// ReplayShard reproduces a shard's pre-shutdown state: a throwaway
-// shard worker is rebuilt from the segment (no OCA run), the WAL tail
-// replays through ApplyBatch — reconciling the logged translation-table
-// growth exactly like the original fan-out did — and the resulting
+// ReplayShard reproduces a shard's pre-shutdown state: the segment's
+// snapshot and translation table, plus — when there is a WAL tail — the
+// tail replayed through a throwaway shard worker rebuilt from the
+// segment (no OCA run), whose ApplyBatch reconciles the logged
+// translation-table growth exactly like the original fan-out did. The
 // snapshot's generation is forced to the last published one. It
 // returns the final snapshot and the full translation table, from
 // which the caller builds the serving worker
@@ -281,30 +282,33 @@ func ReplayShard(st *State, shardID, k int, cfg shard.Config, maxNodes int) (*re
 		// caller must decode State.PartitionMap into the config first.
 		return nil, nil, fmt.Errorf("persist: segment %s was sealed at partition epoch %d; replay requires the persisted map (State.PartitionMap) in the config", st.Segment.Path, st.Segment.Epoch)
 	}
-	rcfg := cfg
-	rcfg.Debounce = -1
-	rcfg.LogBatch = nil
-	rcfg.OnSwap = nil
-	if maxNodes < st.Segment.MaxNodes {
-		maxNodes = st.Segment.MaxNodes
+	snap, table := st.Segment.Snapshot(), st.Segment.Table
+	if len(st.Tail) > 0 {
+		rcfg := cfg
+		rcfg.Debounce = -1
+		rcfg.LogBatch = nil
+		rcfg.OnSwap = nil
+		if maxNodes < st.Segment.MaxNodes {
+			maxNodes = st.Segment.MaxNodes
+		}
+		w := shard.NewWorkerFromSnapshot(snap, table, shardID, k, rcfg, maxNodes)
+		defer w.Close()
+		err := replayGroups(st, func(b wal.EdgeBatch) error {
+			_, _, err := w.ApplyBatch(shard.Batch{Base: b.Base, NewLocals: b.NewLocals, Add: b.Add, Remove: b.Remove})
+			return err
+		}, func() error {
+			_, err := w.Flush(context.Background())
+			return err
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		snap, table = w.Snapshot(), w.Table()
 	}
-	w := shard.NewWorkerFromSnapshot(st.Segment.Snapshot(), st.Segment.Table, shardID, k, rcfg, maxNodes)
-	defer w.Close()
-	err := replayGroups(st, func(b wal.EdgeBatch) error {
-		_, _, err := w.ApplyBatch(shard.Batch{Base: b.Base, NewLocals: b.NewLocals, Add: b.Add, Remove: b.Remove})
-		return err
-	}, func() error {
-		_, err := w.Flush(context.Background())
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	snap := w.Snapshot()
 	if st.LastGen > snap.Gen {
 		forced := *snap
 		forced.Gen = st.LastGen
 		snap = &forced
 	}
-	return snap, w.Table(), nil
+	return snap, table, nil
 }

@@ -102,6 +102,46 @@ func TestShardCrashRestartRoundTrip(t *testing.T) {
 	if w2.Snapshot().Gen != pre.Gen {
 		t.Errorf("restored worker generation = %d, want %d", w2.Snapshot().Gen, pre.Gen)
 	}
+
+	// Clean shutdown, then a second restart: the serving worker's state
+	// is sealed, so the boot finds no WAL tail and has nothing to replay.
+	// ReplayShard must then start no worker — it hands back the segment's
+	// own assembly (a shard worker would have attached its Meta) — and
+	// that carries exactly what the worker path would have returned.
+	snap2 := w2.Snapshot()
+	if err := s2.Seal(snap2, w2.Table()[:snap2.Graph.N()]); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	st3, err := openStore(t, dir, Options{Shard: shardID, Shards: k, MaxNodes: maxNodes}).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st3.Segment == nil || len(st3.Tail) != 0 {
+		t.Fatalf("clean restart state = segment %v, %d tail batches; want a segment and no tail", st3.Segment, len(st3.Tail))
+	}
+	clean, cleanTable, err := ReplayShard(st3, shardID, k, cfg, maxNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Aux != nil {
+		t.Errorf("clean restart went through a shard worker (Aux = %T), want the segment's own snapshot", clean.Aux)
+	}
+	viaWorker := shard.NewWorkerFromSnapshot(st3.Segment.Snapshot(), st3.Segment.Table, shardID, k, cfg, maxNodes)
+	defer viaWorker.Close()
+	want := viaWorker.Snapshot()
+	if clean.Info() != want.Info() {
+		t.Errorf("clean restart info = %+v, worker path %+v", clean.Info(), want.Info())
+	}
+	if clean.Gen != pre.Gen {
+		t.Errorf("clean restart generation = %d, want %d", clean.Gen, pre.Gen)
+	}
+	if !reflect.DeepEqual(clean.Cover.Communities, want.Cover.Communities) {
+		t.Errorf("clean restart cover differs: %v vs %v", clean.Cover.Communities, want.Cover.Communities)
+	}
+	if !reflect.DeepEqual(cleanTable, viaWorker.Table()) {
+		t.Errorf("clean restart table = %v, worker path %v", cleanTable, viaWorker.Table())
+	}
 }
 
 // TestReplayShardIdentityMismatch refuses to replay another shard's

@@ -120,14 +120,14 @@ func TestRederiveDisabledKeepsPinnedC(t *testing.T) {
 	}
 }
 
-// TestBuildSnapshotHook checks the one assembly hook, Config.Assemble:
+// TestAssembleHook checks the one assembly hook, Config.Assemble:
 // a full publish hands it no PatchContext, incremental and fastpath
 // publishes hand it one whose Kept/Removed describe the published cover
 // in patch order, and a hook that just calls the built-in Assemble
 // publishes exactly what a hook-less worker fed the same batches does —
 // which is what lets the shard layer wrap the built-in assembler with
 // its ghost filter and ownership metadata.
-func TestBuildSnapshotHook(t *testing.T) {
+func TestAssembleHook(t *testing.T) {
 	type call struct {
 		pc    *PatchContext
 		comms []cover.Community // the hook's cover, in patch order

@@ -321,6 +321,71 @@ func TestIncrementalCoverOrderCanonical(t *testing.T) {
 	}
 }
 
+// ladderRungs are the mutation batch sizes of the batch-size ladder.
+var ladderRungs = []int{1, 10, 100, 1000}
+
+// ladderFixture is the batch-size ladder's input, shared by
+// TestIncrementalLadder and BenchmarkRebuildLadder: an LFR graph, its
+// spectral c, and its edges in a fixed shuffled order, so that rung b
+// strips edges[:b] and re-adds them as one batch.
+//
+// Well-separated communities (µ = 0.02): in this regime OCA recovers
+// the planted structure essentially exactly, so the NMI gap isolates
+// warm-start/patching drift rather than algorithmic noise (same
+// reasoning as TestIncrementalEquivalence). 10k nodes (~250
+// communities) for two reasons: the 1000-edge rung still leaves the
+// curve somewhere to go (at 600 nodes a 10-edge batch already dirties
+// 374 of them), and one community found differently — which the seed
+// fan-out's worker count decides — costs NMI 0.004 rather than the
+// 0.028 that put the 600-node ladder under its floor at GOMAXPROCS 3
+// and 8.
+type ladderFixture struct {
+	bench *lfr.Benchmark
+	opt   core.Options
+	edges [][2]int32
+}
+
+func newLadderFixture(tb testing.TB) *ladderFixture {
+	tb.Helper()
+	bench, err := lfr.Generate(lfr.Params{
+		N: 10000, AvgDeg: 14, MaxDeg: 30, Mu: 0.02,
+		MinCom: 25, MaxCom: 60, Seed: 17,
+	})
+	if err != nil {
+		tb.Fatalf("lfr.Generate: %v", err)
+	}
+	c, err := spectral.C(bench.Graph, spectral.Options{})
+	if err != nil {
+		tb.Fatalf("spectral.C: %v", err)
+	}
+	f := &ladderFixture{bench: bench, opt: core.Options{Seed: 11, C: c}}
+	bench.Graph.Edges(func(u, v int32) bool {
+		f.edges = append(f.edges, [2]int32{u, v})
+		return true
+	})
+	rng := rand.New(rand.NewSource(23))
+	rng.Shuffle(len(f.edges), func(i, j int) { f.edges[i], f.edges[j] = f.edges[j], f.edges[i] })
+	return f
+}
+
+// rung returns the snapshot a rung's rebuild starts from — the graph
+// with the first b shuffled edges stripped, covered by a cold run — and
+// the batch that re-adds them.
+func (f *ladderFixture) rung(tb testing.TB, b int) (*Snapshot, [][2]int32) {
+	tb.Helper()
+	if b > len(f.edges) {
+		tb.Fatalf("ladder rung %d exceeds edge count %d", b, len(f.edges))
+	}
+	batch := f.edges[:b]
+	d := graph.NewDelta(f.bench.Graph)
+	for _, e := range batch {
+		if err := d.RemoveEdge(e[0], e[1]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return testSnapshot(tb, d.Apply(), f.opt), batch
+}
+
 // TestIncrementalLadder is the batch-size equivalence gate: starting
 // from an LFR graph with b edges stripped, one incremental rebuild that
 // re-adds them must land within NMI ≥ 0.98 of a cold full run on the
@@ -330,52 +395,19 @@ func TestIncrementalLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-OCA-run equivalence ladder")
 	}
-	// Well-separated communities (µ = 0.02): in this regime OCA recovers
-	// the planted structure essentially exactly, so the NMI gap isolates
-	// warm-start/patching drift rather than algorithmic noise (same
-	// reasoning as TestIncrementalEquivalence).
-	bench, err := lfr.Generate(lfr.Params{
-		N: 600, AvgDeg: 14, MaxDeg: 30, Mu: 0.02,
-		MinCom: 25, MaxCom: 60, Seed: 17,
-	})
-	if err != nil {
-		t.Fatalf("lfr.Generate: %v", err)
-	}
-	final := bench.Graph
+	f := newLadderFixture(t)
+	final := f.bench.Graph
 	n := final.N()
-	c, err := spectral.C(final, spectral.Options{})
-	if err != nil {
-		t.Fatalf("spectral.C: %v", err)
-	}
-	opt := core.Options{Seed: 11, C: c}
-	cold, err := core.Run(final, opt)
+	cold, err := core.Run(final, f.opt)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
 
-	var all [][2]int32
-	final.Edges(func(u, v int32) bool {
-		all = append(all, [2]int32{u, v})
-		return true
-	})
-	rng := rand.New(rand.NewSource(23))
-	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-
-	for _, batch := range []int{1, 10, 100, 1000} {
-		if batch > len(all) {
-			t.Fatalf("ladder rung %d exceeds edge count %d", batch, len(all))
-		}
+	for _, batch := range ladderRungs {
 		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			removed := all[:batch]
-			d := graph.NewDelta(final)
-			for _, e := range removed {
-				if err := d.RemoveEdge(e[0], e[1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			start := d.Apply()
-			w := New(testSnapshot(t, start, opt), Config{
-				OCA: opt, Debounce: time.Millisecond, IncrementalThreshold: 1,
+			start, removed := f.rung(t, batch)
+			w := New(start, Config{
+				OCA: f.opt, Debounce: time.Millisecond, IncrementalThreshold: 1,
 			})
 			w.Start()
 			defer w.Close()
@@ -395,7 +427,55 @@ func TestIncrementalLadder(t *testing.T) {
 	}
 	// Anchor against degeneracy: the cold reference must recover the
 	// planted structure.
-	if truthNMI := metrics.NMI(cold.Cover, bench.Communities, n); truthNMI < 0.6 {
+	if truthNMI := metrics.NMI(cold.Cover, f.bench.Communities, n); truthNMI < 0.6 {
 		t.Errorf("cold run vs planted truth NMI = %.4f, suspiciously low", truthNMI)
+	}
+}
+
+// BenchmarkRebuildLadder draws the curve the ladder test only gates:
+// the latency of publishing one b-edge batch through the incremental
+// engine against the same batch through a worker that re-runs OCA from
+// scratch (DisableWarmStart), per rung. One op is Enqueue + Flush on a
+// fresh worker over the rung's start snapshot; the fixture and the
+// start snapshots are built outside the timer.
+func BenchmarkRebuildLadder(b *testing.B) {
+	f := newLadderFixture(b)
+	for _, batch := range ladderRungs {
+		start, edges := f.rung(b, batch)
+		for _, mode := range []struct {
+			name string
+			cfg  Config
+			want string
+		}{
+			{"incremental", Config{OCA: f.opt, Debounce: -1, IncrementalThreshold: 1}, ModeIncremental},
+			{"cold", Config{OCA: f.opt, Debounce: -1, DisableWarmStart: true}, ModeFull},
+		} {
+			b.Run(fmt.Sprintf("batch=%d/%s", batch, mode.name), func(b *testing.B) {
+				var dirty int
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					w := New(start, mode.cfg)
+					w.Start()
+					b.StartTimer()
+					if _, _, err := w.Enqueue(edges, nil); err != nil {
+						b.Fatalf("Enqueue: %v", err)
+					}
+					snap, err := w.Flush(context.Background())
+					b.StopTimer()
+					w.Close()
+					if err != nil {
+						b.Fatalf("Flush: %v", err)
+					}
+					if snap.RebuildMode != mode.want {
+						b.Fatalf("rebuild_mode = %q, want %q", snap.RebuildMode, mode.want)
+					}
+					dirty = snap.DirtyNodes
+					b.StartTimer()
+				}
+				if mode.want == ModeIncremental {
+					b.ReportMetric(float64(dirty), "dirty_nodes")
+				}
+			})
+		}
 	}
 }
