@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/core/... ./internal/search/... ./internal/graph/... ./in
 COVER_PKGS := repro/internal/spectral repro/internal/server repro/internal/refresh repro/internal/shard repro/internal/index repro/internal/postprocess repro/internal/transport repro/internal/wal repro/internal/persist repro/internal/resilience repro/internal/faultinject
 COVER_MIN := 75
 
-.PHONY: build test test-slow race vet fmt-check bench-smoke bench-shard bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke test-shard-compose run-cluster check clean
+.PHONY: build test test-slow race vet fmt-check bench-smoke bench-shard bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke test-shard-compose test-core-count run-cluster check clean
 
 build:
 	$(GO) build ./...
@@ -123,6 +123,13 @@ test-migrate-smoke:
 # not most (`make race` runs the same tests once under the detector).
 test-shard-compose:
 	$(GO) test -count=20 -run 'TestShardPatch|TestMigration' ./internal/shard
+
+# The packages whose results must not depend on the core count —
+# recovery reads covers back from the log precisely because OCA's vary
+# with GOMAXPROCS — at 1, 3 and 8: what a recovered directory serves,
+# what a publish logs, what the WAL parses.
+test-core-count:
+	$(GO) test -count=1 -cpu 1,3,8 ./internal/persist ./internal/refresh ./internal/wal
 
 # Local dev convenience: spawn SHARDS shard-server processes plus a
 # router on this machine (generating a demo LFR graph when GRAPH is

@@ -249,12 +249,7 @@ func run(args []string) error {
 	}
 	if store != nil {
 		store.SetNodeBounds(globalNodes, cfg.MaxNodes)
-		recovered, err = persist.ReplaySingle(st, persist.ReplayConfig{Refresh: refresh.Config{
-			OCA:                  cfg.OCA,
-			DisableWarmStart:     cfg.DisableWarmStart,
-			MaxNodes:             cfg.MaxNodes,
-			IncrementalThreshold: cfg.IncrementalThreshold,
-		}})
+		recovered, err = persist.ReplaySingle(st, persist.ReplayConfig{Refresh: cfg.RefreshConfig()})
 		if err != nil {
 			return err
 		}
@@ -274,6 +269,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		logRecoveryDetail("", store)
 	} else if *coverPath != "" {
 		cv, err := loadCover(*coverPath)
 		if err != nil {
@@ -571,6 +567,9 @@ func runShardServer(cfg server.Config, in string, shardIdx, k, maxNodesFlag int,
 		if err := store.Begin(snap.Gen); err != nil {
 			return err
 		}
+		if st.Segment != nil {
+			logRecoveryDetail(fmt.Sprintf("shard %d ", shardIdx), store)
+		}
 		closeFn = func() {
 			w.Close()
 			// Clean shutdown: seal the final state so the next boot is a
@@ -664,6 +663,22 @@ func serveUntilSignal(httpSrv *http.Server, addr, addrFile string, shutdownTimeo
 	}
 	log.Print("bye")
 	return <-errCh
+}
+
+// logRecoveryDetail is the second line of a warm boot's log, written
+// once the boot seal has had its turn: how many of the tail's published
+// generations were read back from their logged cover patches and how
+// many the engine derived again, and whether the boot sealed a segment
+// (it does not when the log already describes the recovered generation
+// completely — see docs/PERSISTENCE.md, Recovery step 4).
+func logRecoveryDetail(who string, store *persist.Store) {
+	st := store.Stats()
+	seal := "not needed"
+	if !st.LastSegmentAt.IsZero() {
+		seal = "ran"
+	}
+	log.Printf("%srecovery folded %d publishes from the log and derived %d; boot seal %s",
+		who, st.Recovered.PatchedPublishes, st.Recovered.DerivedPublishes, seal)
 }
 
 // errMissingIn is the error of a boot that needs the input graph and

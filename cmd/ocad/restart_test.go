@@ -181,6 +181,15 @@ type singleState struct {
 	Edges      int64  `json:"edges"`
 }
 
+// The two lines a warm boot logs about a one-publish WAL tail it read
+// back from its cover patch: the first is the one the benchmark parses,
+// the second says nothing was re-derived and nothing needed sealing.
+const (
+	replayedOne  = "(segment+wal, 1 batches replayed)"
+	foldedOne    = "recovery folded 1 publishes from the log and derived 0; boot seal not needed"
+	foldedSealed = "recovery folded 1 publishes from the log and derived 0; boot seal ran"
+)
+
 // TestWarmRestartSingle: a K=1 daemon SIGKILLed one publish past its
 // boot segment restarts on the populated directory at the pre-kill
 // generation with -in naming a deleted file, and again with -in
@@ -217,6 +226,20 @@ func TestWarmRestartSingle(t *testing.T) {
 		}
 		if logs := d.logs(); !strings.Contains(logs, noInputRead) || strings.Contains(logs, "loaded graph") {
 			t.Errorf("ocad %v: log does not say the input was skipped:\n%s", args, logs)
+		}
+		// The tail's one publish is read back from the log: nothing is
+		// derived, so the boot has nothing to seal and every restart finds
+		// the same segment and the same tail.
+		if logs := d.logs(); !strings.Contains(logs, replayedOne) || !strings.Contains(logs, foldedOne) {
+			t.Errorf("ocad %v: log lacks %q or %q:\n%s", args, replayedOne, foldedOne, logs)
+		}
+		var hz struct {
+			Persistence persist.Stats `json:"persistence"`
+		}
+		httpJSON(t, "GET", "http://"+d.addr+"/healthz", nil, &hz)
+		if rs := hz.Persistence.Recovered; rs.PatchedPublishes != 1 || rs.DerivedPublishes != 0 || hz.Persistence.NewestSegment != 1 {
+			t.Errorf("ocad %v: /healthz reports %d publishes folded, %d derived, newest segment %d; want 1, 0, 1",
+				args, rs.PatchedPublishes, rs.DerivedPublishes, hz.Persistence.NewestSegment)
 		}
 		d.kill()
 	}
@@ -256,15 +279,16 @@ func TestWarmRestartShardServer(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		args    []string
-		wantMax int
+		args     []string
+		wantMax  int
+		wantLine string
 	}{
-		{[]string{"-in", in}, 80}, // the file is gone
-		{nil, 80},
-		{[]string{"-max-nodes", "-1"}, 80},
-		{[]string{"-max-nodes", "20"}, 80},
-		{[]string{"-max-nodes", "0"}, 80},
-		{[]string{"-max-nodes", "200"}, 200},
+		{[]string{"-in", in}, 80, foldedOne}, // the file is gone
+		{nil, 80, foldedOne},
+		{[]string{"-max-nodes", "-1"}, 80, foldedOne},
+		{[]string{"-max-nodes", "20"}, 80, foldedOne},
+		{[]string{"-max-nodes", "0"}, 80, foldedOne},
+		{[]string{"-max-nodes", "200"}, 200, foldedSealed},
 	} {
 		d = startDaemon(t, append(tc.args, role...)...)
 		var post transport.Health
@@ -277,11 +301,14 @@ func TestWarmRestartShardServer(t *testing.T) {
 		if logs := d.logs(); !strings.Contains(logs, noInputRead) || strings.Contains(logs, "loaded graph") {
 			t.Errorf("ocad %v: log does not say the input was skipped:\n%s", tc.args, logs)
 		}
+		if logs := d.logs(); !strings.Contains(logs, replayedOne) || !strings.Contains(logs, "shard 0 "+tc.wantLine) {
+			t.Errorf("ocad %v: log lacks %q or %q:\n%s", tc.args, replayedOne, tc.wantLine, logs)
+		}
 		d.kill()
 	}
 	// The raised ceiling was persisted by the boot seal of the restart
-	// that raised it (the replayed tail made that boot's generation
-	// newer than its segment), so it is the floor from now on.
+	// that raised it — a fully described tail needs no seal, a new
+	// identity does — so it is the floor from now on.
 	d = startDaemon(t, role...)
 	var post transport.Health
 	httpJSON(t, "GET", "http://"+d.addr+transport.PathHealth, nil, &post)

@@ -27,8 +27,10 @@ type Options struct {
 	// Spectral tunes that Lanczos run when C is computed.
 	Spectral spectral.Options
 	// Seed drives all randomness (seed choice, initial neighborhoods).
-	// Runs with equal seeds produce identical covers, regardless of the
-	// number of workers.
+	// The cover is a function of Seed and Workers together: seeds are
+	// drawn, and coverage and patience judged, one batch of Workers at
+	// a time, so runs with equal seeds produce identical covers only
+	// under equal worker counts.
 	Seed int64
 	// NeighborProb is the probability that each neighbor of the seed
 	// joins the initial set ("a random neighborhood of the seed").

@@ -2,9 +2,14 @@
 // published snapshot generation to an mmap-able segment file (graph,
 // cover, translation table and generation metadata, each section
 // CRC-protected), keeps a mutation write-ahead log (internal/wal)
-// between segments, and on startup recovers the latest valid segment
-// plus the WAL tail so a restart replays O(mutations since last
-// segment) instead of cold-running OCA over the whole graph.
+// between segments — every accepted edge batch, and beside every
+// publish marker what that publish did to the cover — and on startup
+// recovers the latest valid segment plus the WAL tail: folded from the
+// logged cover patches where the log describes a generation (no OCA,
+// the cover that was served, id for id), replayed through the
+// incremental engine where it does not. Either way a restart costs
+// O(mutations since last segment) instead of a cold OCA run over the
+// whole graph.
 //
 // The package owns file placement, rotation, retention and the
 // recovery scan; the WAL record framing lives in internal/wal and the

@@ -52,9 +52,9 @@ func metaKeys() []string {
 
 // TestPersistenceDocSync is the documentation lint: the normative
 // constants in docs/PERSISTENCE.md (magics, format versions, record
-// types, section tags, file-name patterns, META keys) must equal the
-// ones the code ships. Changing the on-disk format without updating the spec —
-// or vice versa — fails here.
+// types, patch modes, section tags, file-name patterns, META keys) must
+// equal the ones the code ships. Changing the on-disk format without
+// updating the spec — or vice versa — fails here.
 func TestPersistenceDocSync(t *testing.T) {
 	raw, err := os.ReadFile("../../docs/PERSISTENCE.md")
 	if err != nil {
@@ -73,6 +73,12 @@ func TestPersistenceDocSync(t *testing.T) {
 		{"<!-- persist:records -->", []string{
 			fmt.Sprintf("%d edge-batch", wal.RecEdgeBatch),
 			fmt.Sprintf("%d publish", wal.RecPublish),
+			fmt.Sprintf("%d cover-patch", wal.RecCoverPatch),
+		}},
+		{"<!-- persist:patch-modes -->", []string{
+			fmt.Sprintf("%d %s", wal.PatchFull, patchModes[wal.PatchFull]),
+			fmt.Sprintf("%d %s", wal.PatchIncremental, patchModes[wal.PatchIncremental]),
+			fmt.Sprintf("%d %s", wal.PatchFastpath, patchModes[wal.PatchFastpath]),
 		}},
 		{"<!-- persist:sections -->", []string{
 			string(SecMeta[:]), string(SecGraph[:]), string(SecCover[:]),

@@ -5,7 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/refresh"
 	"repro/internal/shard"
 	"repro/internal/wal"
@@ -24,10 +28,13 @@ type State struct {
 	// the pre-crash state in O(batch) per record.
 	Tail []wal.EdgeBatch
 	// Publishes are the publish markers beyond the segment, in order.
-	// They record how the live worker grouped Tail into rebuilds; replay
-	// flushes at the same boundaries so the recovered cover is
-	// bit-identical to the pre-crash one, not merely equivalent.
+	// They record how the live worker grouped Tail into rebuilds.
 	Publishes []wal.Publish
+	// Patches are the cover patches beyond the segment, in order: what
+	// each described publish turned the cover into. Replay folds the
+	// longest prefix of Publishes that each have one and re-derives only
+	// what follows (see foldTail).
+	Patches []wal.CoverPatch
 	// LastGen/LastSeq are the newest published generation and its op
 	// count according to the publish markers — at least the segment's
 	// own. The recovered snapshot's generation is forced to LastGen so
@@ -36,6 +43,10 @@ type State struct {
 	LastSeq uint64
 	// Stats summarizes the scan for /healthz.
 	Stats RecoveryStats
+
+	// store is the Store that loaded this state (nil for a hand-built
+	// one); replay reports back to it what it folded and derived.
+	store *Store
 }
 
 // PartitionMap decodes the partition map the recovered segment was
@@ -70,7 +81,7 @@ func (st *State) PartitionMap() (*shard.PartitionMap, error) {
 // empty directory is a clean cold start, not an error. Load does not
 // start the live WAL — call Begin once the serving snapshot is known.
 func (s *Store) Load() (*State, error) {
-	st := &State{}
+	st := &State{store: s}
 
 	// Newest valid segment wins; anything that fails validation is
 	// passed over (crash mid-rename leaves only a tmp file, which the
@@ -138,6 +149,12 @@ func (s *Store) Load() (*State, error) {
 				if p.Gen > st.LastGen {
 					st.LastGen, st.LastSeq = p.Gen, p.Seq
 				}
+			case wal.RecCoverPatch:
+				// A patch that does not decode is a patch that is absent:
+				// its publish is re-derived.
+				if cp, err := wal.DecodeCoverPatch(rec.Payload); err == nil && cp.Seq > baseSeq {
+					st.Patches = append(st.Patches, cp)
+				}
 			}
 		}
 	}
@@ -147,6 +164,7 @@ func (s *Store) Load() (*State, error) {
 		// cold — the caller rebuilds from its input graph.
 		st.Tail = nil
 		st.Publishes = nil
+		st.Patches = nil
 		st.Stats.ReplayedBatches, st.Stats.ReplayedOps = 0, 0
 	}
 	if len(st.Tail) > 0 {
@@ -155,6 +173,11 @@ func (s *Store) Load() (*State, error) {
 
 	s.mu.Lock()
 	s.recovered = st.Stats
+	// The publishes of the tail count towards the next segment: if this
+	// boot seals, the seal resets the count; if it does not (the tail is
+	// fully described), SegmentEvery keeps bounding the tail a restart
+	// must read, across restarts.
+	s.pubsSinceSeg = uint64(len(st.Publishes))
 	if st.Segment != nil {
 		// Carry the recovered partition facts forward: seals after a
 		// restart keep stamping the epoch the shard rejoined at, even
@@ -167,20 +190,28 @@ func (s *Store) Load() (*State, error) {
 	return st, nil
 }
 
-// replayGroups feeds the WAL tail to a worker, flushing at the exact
-// publish boundaries the live worker used. The markers record which
-// batches each published generation coalesced; replaying with the same
-// grouping makes the recovered cover bit-identical to the pre-crash
-// one — the incremental engine's output depends on how mutations were
-// batched into rebuilds, not just on their union. Batches past the last
-// marker (accepted but never published before the crash) get one final
-// flush of their own.
-func replayGroups(st *State, apply func(wal.EdgeBatch) error, flush func() error) error {
+// replayDebounce is the replay engines' mutation-coalescing window: one
+// that never elapses. The live worker coalesced every batch up to a
+// marker into one rebuild; replay queues those batches one Enqueue at a
+// time, and a worker free to start rebuilding in between would split
+// the group into several publishes — another cover and a generation
+// count past the logged one, depending on who wins the race. Under a
+// window this long only replayGroups' flush ends the wait, so a group
+// is rebuilt whole.
+const replayDebounce = time.Hour
+
+// replayGroups feeds WAL batches to a worker, flushing at the publish
+// boundaries the live worker used: the markers record which batches each
+// published generation coalesced, and the incremental engine's output
+// depends on how mutations were batched into rebuilds, not just on
+// their union. Batches past the last marker (accepted but never
+// published before the crash) get one final flush of their own.
+func replayGroups(tail []wal.EdgeBatch, pubs []wal.Publish, apply func(wal.EdgeBatch) error, flush func() error) error {
 	i, pending := 0, 0
 	step := func(upTo uint64) error {
-		for i < len(st.Tail) && st.Tail[i].Seq <= upTo {
-			if err := apply(st.Tail[i]); err != nil {
-				return fmt.Errorf("persist: replaying batch seq %d: %w", st.Tail[i].Seq, err)
+		for i < len(tail) && tail[i].Seq <= upTo {
+			if err := apply(tail[i]); err != nil {
+				return fmt.Errorf("persist: replaying batch seq %d: %w", tail[i].Seq, err)
 			}
 			i++
 			pending++
@@ -194,7 +225,7 @@ func replayGroups(st *State, apply func(wal.EdgeBatch) error, flush func() error
 		}
 		return nil
 	}
-	for _, p := range st.Publishes {
+	for _, p := range pubs {
 		if err := step(p.Seq); err != nil {
 			return err
 		}
@@ -202,72 +233,269 @@ func replayGroups(st *State, apply func(wal.EdgeBatch) error, flush func() error
 	return step(^uint64(0))
 }
 
-// ReplayConfig tunes the throwaway worker ReplaySingle drives the WAL
-// tail through.
+// foldTail reads the described prefix of the tail back from the log
+// instead of re-deriving it: for the longest run of publish markers
+// that each have a fitting cover patch, the patches applied to the
+// segment's cover in publish order and one graph.Delta over all their
+// edge batches (node growth as refresh.ValidateBatch decides it, table
+// growth as shard.Worker.ApplyBatch reconciles it). The result is the
+// last folded generation as a bare snapshot — no index, no stats, no
+// Aux: the serving layer assembles once — with its translation table
+// and the number of tail batches and markers consumed. Nothing folded
+// returns a nil snapshot.
+//
+// The fold stops at the first publish the log does not describe: a
+// marker without a patch (a WAL written before patches existed, a patch
+// over wal.MaxRecordBytes), a patch that does not fit the cover it
+// names, a batch the engine would reject. Everything from there on is
+// the engine's, starting from the folded snapshot.
+func foldTail(st *State, maxNodes int) (snap *refresh.Snapshot, table []int32, batches, pubs int) {
+	seg := st.Segment
+	patches := make(map[uint64]*wal.CoverPatch, len(st.Patches))
+	for i := range st.Patches {
+		patches[st.Patches[i].Gen] = &st.Patches[i]
+	}
+	var (
+		n, cv, gen = seg.Graph.N(), seg.Cover, seg.Info.Gen
+		tbl        = tableFold{locals: seg.Table}
+		tableLen   = len(seg.Table) // of the last folded generation
+		last       *refresh.Patch
+	)
+	maxNodes = max(maxNodes, n) // growth disabled: the node set stays fixed
+fold:
+	for _, pub := range st.Publishes {
+		cp := patches[pub.Gen]
+		if cp == nil || cp.Seq != pub.Seq || pub.Gen != gen+1 {
+			break
+		}
+		end, grown := batches, n
+		for ; end < len(st.Tail) && st.Tail[end].Seq <= pub.Seq; end++ {
+			b := st.Tail[end]
+			var err error
+			if grown, err = refresh.ValidateBatch(b.Add, b.Remove, grown, maxNodes); err != nil || !tbl.reconcile(b) {
+				break fold
+			}
+		}
+		p := decodePatch(*cp)
+		if !patchFits(p, cv.Len(), grown) {
+			break
+		}
+		cv = p.ApplyCover(cv)
+		n, tableLen, batches, gen, last = grown, len(tbl.locals), end, pub.Gen, p
+		pubs++
+	}
+	if pubs == 0 {
+		return nil, nil, 0, 0
+	}
+
+	d := graph.NewDelta(seg.Graph)
+	d.GrowTo(n)
+	for _, b := range st.Tail[:batches] {
+		// Validated above against the same bounds: the Delta's own checks
+		// cannot fail.
+		for _, e := range b.Add {
+			_ = d.AddEdge(e[0], e[1])
+		}
+		for _, e := range b.Remove {
+			_ = d.RemoveEdge(e[0], e[1])
+		}
+	}
+	snap = &refresh.Snapshot{
+		Gen: gen, Seq: st.Publishes[pubs-1].Seq,
+		Graph: d.Apply(), Cover: cv, C: last.C,
+		BuiltAt: time.Now(), RebuildMode: last.Mode, DirtyNodes: last.DirtyNodes,
+	}
+	if !last.Carried {
+		// Published covers went through the merge (see Segment.Snapshot);
+		// a carry-over did not, and the live worker's next rebuild ran
+		// full because of it.
+		snap.Result = &core.Result{Cover: cv, C: last.C}
+	}
+	return snap, tbl.locals[:tableLen:tableLen], batches, pubs
+}
+
+// tableFold grows a local→global translation table the way
+// shard.Worker.ApplyBatch does, without a worker.
+type tableFold struct {
+	locals []int32
+	index  map[int32]int32 // global → local; built on first growth
+}
+
+// reconcile applies one logged batch's table growth, reporting false
+// where ApplyBatch would report a table conflict.
+func (t *tableFold) reconcile(b wal.EdgeBatch) bool {
+	cur := len(t.locals)
+	if b.Base > cur {
+		return false
+	}
+	overlap := min(cur-b.Base, len(b.NewLocals))
+	if !slices.Equal(t.locals[b.Base:b.Base+overlap], b.NewLocals[:overlap]) {
+		return false
+	}
+	fresh := b.NewLocals[overlap:]
+	if len(fresh) == 0 {
+		return true
+	}
+	if t.index == nil {
+		t.index = make(map[int32]int32, cur+len(fresh))
+		for l, gv := range t.locals {
+			t.index[gv] = int32(l)
+		}
+	}
+	for _, gv := range fresh {
+		if _, mapped := t.index[gv]; mapped {
+			return false
+		}
+	}
+	for _, gv := range fresh {
+		if _, mapped := t.index[gv]; !mapped {
+			t.index[gv] = int32(len(t.locals))
+			t.locals = append(t.locals, gv)
+		}
+	}
+	return true
+}
+
+// patchFits validates a logged patch against the cover it is about to
+// be applied to (prevLen communities) and the node range of the
+// generation it produces. The record's CRC vouches for the bytes, not
+// for what they name.
+func patchFits(p *refresh.Patch, prevLen, n int) bool {
+	prev := int32(-1)
+	for _, id := range p.Removed {
+		if id <= prev || int(id) >= prevLen {
+			return false
+		}
+		prev = id
+	}
+	for _, c := range p.Fresh {
+		prev = -1
+		for _, v := range c {
+			if v <= prev || int(v) >= n {
+				return false
+			}
+			prev = v
+		}
+	}
+	return true
+}
+
+// recoverTail is the recovery both roles share: fold what the log
+// describes, then hand whatever is left to the role's engine, starting
+// from the folded snapshot (the segment's own when nothing folded). It
+// forces the generation to the last published one, so the restart is
+// invisible to generation-tracking clients, and reports what it did to
+// the store that loaded the state.
+func recoverTail(st *State, maxNodes int, engine func(start *refresh.Snapshot, table []int32, tail []wal.EdgeBatch, pubs []wal.Publish) (*refresh.Snapshot, []int32, error)) (*refresh.Snapshot, []int32, error) {
+	snap, table, nb, np := foldTail(st, maxNodes)
+	if snap == nil {
+		snap, table = st.Segment.Snapshot(), st.Segment.Table
+	}
+	tail, pubs := st.Tail[nb:], st.Publishes[np:]
+	derived := len(pubs)
+	if len(tail) > 0 {
+		if len(pubs) == 0 || tail[len(tail)-1].Seq > pubs[len(pubs)-1].Seq {
+			derived++ // accepted but never published: one flush of their own
+		}
+		var err error
+		if snap, table, err = engine(snap, table, tail, pubs); err != nil {
+			return nil, nil, err
+		}
+	}
+	if st.LastGen > snap.Gen || snap.Patch != nil {
+		// A restored generation: numbered as the log numbers it, and with
+		// no patch of its own — the throwaway engine's is relative to a
+		// generation this process never serves.
+		restored := *snap
+		restored.Gen = max(snap.Gen, st.LastGen)
+		restored.Patch = nil
+		snap = &restored
+	}
+	st.Stats.PatchedPublishes, st.Stats.DerivedPublishes = np, derived
+	if s := st.store; s != nil {
+		s.mu.Lock()
+		s.recovered = st.Stats
+		if np > 0 && derived == 0 {
+			s.foldedGen = snap.Gen
+		}
+		s.mu.Unlock()
+	}
+	return snap, table, nil
+}
+
+// ReplayConfig tunes the throwaway worker ReplaySingle drives through
+// whatever part of the WAL tail the log does not describe.
 type ReplayConfig struct {
 	// Refresh carries the serving rebuild options (OCA, incremental
-	// threshold, warm start, MaxNodes). Debounce and the persistence
-	// hooks are overridden: replay never logs to the WAL it is reading.
+	// threshold, warm start, MaxNodes, RederiveCAfter). Debounce and the
+	// persistence hooks are overridden: replay never logs to the WAL it
+	// is reading.
 	Refresh refresh.Config
 }
 
 // ReplaySingle reproduces the pre-shutdown snapshot for the
-// single-graph role: the segment's snapshot plus the WAL tail applied
-// through the incremental rebuild engine, with the generation forced to
-// the last published one so the restart is invisible to generation-
-// tracking clients. A nil-segment state returns nil (cold start).
+// single-graph role: the segment's snapshot plus the WAL tail — folded
+// from its cover patches where the log describes it, applied through
+// the incremental rebuild engine where it does not — with the
+// generation forced to the last published one. A nil-segment state
+// returns nil (cold start).
 func ReplaySingle(st *State, cfg ReplayConfig) (*refresh.Snapshot, error) {
 	if st.Segment == nil {
 		return nil, nil
 	}
-	snap := st.Segment.Snapshot()
-	if len(st.Tail) > 0 {
-		rcfg := cfg.Refresh
-		rcfg.Debounce = -1 // replay has no bursts to coalesce
-		rcfg.LogBatch = nil
-		rcfg.OnSwap = nil
+	rcfg := cfg.Refresh
+	rcfg.Debounce = replayDebounce
+	rcfg.LogBatch = nil
+	rcfg.OnSwap = nil
+	rcfg.MaxNodes = max(rcfg.MaxNodes, st.Segment.MaxNodes)
+	snap, _, err := recoverTail(st, rcfg.MaxNodes, func(start *refresh.Snapshot, _ []int32, tail []wal.EdgeBatch, pubs []wal.Publish) (*refresh.Snapshot, []int32, error) {
 		if rcfg.OCA.C == 0 {
 			// Pin the recovered inner-product parameter: re-deriving the
 			// spectrum per replayed batch would turn an O(batch) replay
 			// into repeated whole-graph eigenvalue runs.
-			rcfg.OCA.C = snap.C
+			rcfg.OCA.C = start.C
 		}
-		if rcfg.MaxNodes < st.Segment.MaxNodes {
-			rcfg.MaxNodes = st.Segment.MaxNodes
-		}
-		w := refresh.New(snap, rcfg)
+		w := refresh.New(assembled(start), rcfg)
 		w.Start()
 		defer w.Close()
-		err := replayGroups(st, func(b wal.EdgeBatch) error {
+		err := replayGroups(tail, pubs, func(b wal.EdgeBatch) error {
 			_, _, err := w.Enqueue(b.Add, b.Remove)
 			return err
 		}, func() error {
 			_, err := w.Flush(context.Background())
 			return err
 		})
-		if err != nil {
-			return nil, err
-		}
-		snap = w.Snapshot()
+		return w.Snapshot(), nil, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if st.LastGen > snap.Gen {
-		forced := *snap
-		forced.Gen = st.LastGen
-		snap = &forced
+	return assembled(snap), nil
+}
+
+// assembled returns snap with its index and stats built: snap itself
+// unless it is a bare folded snapshot.
+func assembled(snap *refresh.Snapshot) *refresh.Snapshot {
+	if snap.Index != nil {
+		return snap
 	}
-	return snap, nil
+	full := refresh.NewSnapshot(snap.Graph, snap.Cover, snap.Result, snap.C, 0)
+	full.Restore(snap.Info())
+	return full
 }
 
 // ReplayShard reproduces a shard's pre-shutdown state: the segment's
-// snapshot and translation table, plus — when there is a WAL tail — the
-// tail replayed through a throwaway shard worker rebuilt from the
-// segment (no OCA run), whose ApplyBatch reconciles the logged
+// snapshot and translation table plus the WAL tail — folded from its
+// cover patches where the log describes it; where it does not, replayed
+// through a throwaway shard worker built from the folded state (no OCA
+// run for that), whose ApplyBatch reconciles the logged
 // translation-table growth exactly like the original fan-out did. The
 // snapshot's generation is forced to the last published one. It
 // returns the final snapshot and the full translation table, from
 // which the caller builds the serving worker
-// (shard.NewWorkerFromSnapshot). A nil-segment state returns nils
-// (cold start).
+// (shard.NewWorkerFromSnapshot); a fully described tail starts no
+// worker here, and the snapshot comes back bare (no index, no Aux). A
+// nil-segment state returns nils (cold start).
 func ReplayShard(st *State, shardID, k int, cfg shard.Config, maxNodes int) (*refresh.Snapshot, []int32, error) {
 	if st.Segment == nil {
 		return nil, nil, nil
@@ -282,33 +510,21 @@ func ReplayShard(st *State, shardID, k int, cfg shard.Config, maxNodes int) (*re
 		// caller must decode State.PartitionMap into the config first.
 		return nil, nil, fmt.Errorf("persist: segment %s was sealed at partition epoch %d; replay requires the persisted map (State.PartitionMap) in the config", st.Segment.Path, st.Segment.Epoch)
 	}
-	snap, table := st.Segment.Snapshot(), st.Segment.Table
-	if len(st.Tail) > 0 {
-		rcfg := cfg
-		rcfg.Debounce = -1
-		rcfg.LogBatch = nil
-		rcfg.OnSwap = nil
-		if maxNodes < st.Segment.MaxNodes {
-			maxNodes = st.Segment.MaxNodes
-		}
-		w := shard.NewWorkerFromSnapshot(snap, table, shardID, k, rcfg, maxNodes)
+	rcfg := cfg
+	rcfg.Debounce = replayDebounce
+	rcfg.LogBatch = nil
+	rcfg.OnSwap = nil
+	maxNodes = max(maxNodes, st.Segment.MaxNodes)
+	return recoverTail(st, maxNodes, func(start *refresh.Snapshot, table []int32, tail []wal.EdgeBatch, pubs []wal.Publish) (*refresh.Snapshot, []int32, error) {
+		w := shard.NewWorkerFromSnapshot(start, table, shardID, k, rcfg, maxNodes)
 		defer w.Close()
-		err := replayGroups(st, func(b wal.EdgeBatch) error {
+		err := replayGroups(tail, pubs, func(b wal.EdgeBatch) error {
 			_, _, err := w.ApplyBatch(shard.Batch{Base: b.Base, NewLocals: b.NewLocals, Add: b.Add, Remove: b.Remove})
 			return err
 		}, func() error {
 			_, err := w.Flush(context.Background())
 			return err
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		snap, table = w.Snapshot(), w.Table()
-	}
-	if st.LastGen > snap.Gen {
-		forced := *snap
-		forced.Gen = st.LastGen
-		snap = &forced
-	}
-	return snap, table, nil
+		return w.Snapshot(), w.Table(), err
+	})
 }

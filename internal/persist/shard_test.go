@@ -103,12 +103,25 @@ func TestShardCrashRestartRoundTrip(t *testing.T) {
 		t.Errorf("restored worker generation = %d, want %d", w2.Snapshot().Gen, pre.Gen)
 	}
 
+	// The boot goes on as cmd/ocad's does: its seal has nothing to make
+	// durable — the log described the whole tail — and the live WAL
+	// begins at the recovered generation.
+	snap2 := w2.Snapshot()
+	if err := s2.Seal(snap2, w2.Table()[:snap2.Graph.N()]); err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Generations(); !reflect.DeepEqual(got, []uint64{snap0.Gen}) {
+		t.Errorf("segments after the boot seal of a fully described tail = %v, want only %d", got, snap0.Gen)
+	}
+	if err := s2.Begin(snap2.Gen); err != nil {
+		t.Fatal(err)
+	}
+
 	// Clean shutdown, then a second restart: the serving worker's state
 	// is sealed, so the boot finds no WAL tail and has nothing to replay.
 	// ReplayShard must then start no worker — it hands back the segment's
 	// own assembly (a shard worker would have attached its Meta) — and
 	// that carries exactly what the worker path would have returned.
-	snap2 := w2.Snapshot()
 	if err := s2.Seal(snap2, w2.Table()[:snap2.Graph.N()]); err != nil {
 		t.Fatal(err)
 	}

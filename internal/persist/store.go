@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/cover"
 	"repro/internal/refresh"
 	"repro/internal/wal"
 )
@@ -78,6 +80,13 @@ type RecoveryStats struct {
 	// SkippedSegments counts segment files that failed validation and
 	// were passed over for an older one.
 	SkippedSegments int `json:"skipped_segments,omitempty"`
+	// PatchedPublishes counts the published generations of the tail that
+	// recovery read back from their logged cover patches;
+	// DerivedPublishes the ones the engine had to derive again — markers
+	// without a usable patch, and the flush of batches that were accepted
+	// but never published. Filled in by ReplaySingle/ReplayShard.
+	PatchedPublishes int `json:"patched_publishes,omitempty"`
+	DerivedPublishes int `json:"derived_publishes,omitempty"`
 }
 
 // Store owns one data directory: the retained snapshot segments and the
@@ -111,6 +120,12 @@ type Store struct {
 	// the boot that first learns global_nodes for a directory written
 	// without it, or that raises the ceiling, records it at once.
 	sealedNodes [2]int
+	// foldedGen is the generation recovery read back entirely from the
+	// log (segment + described publishes, nothing derived); 0 when there
+	// is none. Such a generation is already durable, so the boot seal —
+	// which exists to make derived state durable — skips it. Set by
+	// replay, cleared by Begin: the rule covers the boot seal only.
+	foldedGen uint64
 }
 
 // Open creates (if needed) the data directory and returns a Store over
@@ -225,6 +240,7 @@ func (s *Store) beginLocked(gen uint64) error {
 		s.log.Close()
 	}
 	s.log, s.logBase = l, gen
+	s.foldedGen = 0
 	return nil
 }
 
@@ -252,20 +268,28 @@ func (s *Store) LogEdgeBatch(b wal.EdgeBatch) error {
 	return nil
 }
 
-// OnPublish records a published generation: a publish marker is
-// appended to the WAL, and every Options.SegmentEvery publishes the
-// snapshot is written as a new segment, the WAL is rotated and
-// retention pruning runs. table is the generation's local→global
-// translation prefix (nil on the single role). Call it from the
-// publish hook (refresh.Config.OnSwap) — segment writes block the
-// worker goroutine, never readers.
+// OnPublish records a published generation: the snapshot's cover patch
+// (when it carries one) and a publish marker are appended to the WAL in
+// one write, and every Options.SegmentEvery publishes — counted from
+// the newest segment, across restarts — the snapshot is written as a
+// new segment, the WAL is rotated and retention pruning runs. table is
+// the generation's local→global translation prefix (nil on the single
+// role). Call it from the publish hook (refresh.Config.OnSwap) —
+// segment writes block the worker goroutine, never readers.
 func (s *Store) OnPublish(snap *refresh.Snapshot, table []int32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
 		return fmt.Errorf("persist: store has no live WAL (Begin not called)")
 	}
-	if err := s.log.AppendPublish(wal.Publish{Gen: snap.Gen, Seq: snap.Seq}); err != nil {
+	pub := wal.Publish{Gen: snap.Gen, Seq: snap.Seq}
+	var err error
+	if snap.Patch != nil {
+		err = s.log.AppendPatchedPublish(encodePatch(pub, snap.Patch))
+	} else {
+		err = s.log.AppendPublish(pub)
+	}
+	if err != nil {
 		return err
 	}
 	s.pubsSinceSeg++
@@ -281,13 +305,18 @@ func (s *Store) OnPublish(snap *refresh.Snapshot, table []int32) error {
 
 // Seal writes snap as a segment and rotates the WAL, so a subsequent
 // restart recovers by a pure segment load with no replay. Call on
-// graceful shutdown (after the refresh worker stopped) and at startup
-// after a cold build.
+// graceful shutdown (after the refresh worker stopped) and at startup,
+// between Load and Begin: there it writes what the directory does not
+// already hold — a cold build, a generation replay derived, a new
+// identity or epoch — and nothing for a generation replay read back
+// whole from the log.
 func (s *Store) Seal(snap *refresh.Snapshot, table []int32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.newestSeg == snap.Gen && s.segments > 0 && s.sealedEpoch == s.epoch && s.sealedNodes == s.nodeBounds() {
-		return nil // already sealed at this generation, epoch and identity
+	if (s.newestSeg == snap.Gen || s.foldedGen == snap.Gen) && s.segments > 0 && s.sealedEpoch == s.epoch && s.sealedNodes == s.nodeBounds() {
+		// Already durable at this epoch and identity: sealed at this
+		// generation, or read back whole from the log by this boot.
+		return nil
 	}
 	return s.sealLocked(snap, table)
 }
@@ -321,8 +350,13 @@ func (s *Store) sealLocked(snap *refresh.Snapshot, table []int32) error {
 	s.sealedNodes = s.nodeBounds()
 	s.lastSegAt = time.Now()
 	s.pubsSinceSeg = 0
-	if err := s.beginLocked(snap.Gen); err != nil {
-		return err
+	// A live WAL already based at this generation holds only batches
+	// accepted since and not yet published — a boot that skipped its seal
+	// began it — and re-creating it would truncate them.
+	if s.log == nil || s.logBase != snap.Gen {
+		if err := s.beginLocked(snap.Gen); err != nil {
+			return err
+		}
 	}
 	s.pruneLocked()
 	return nil
@@ -378,6 +412,41 @@ func (s *Store) OpenGeneration(gen uint64) (*Segment, error) {
 		return nil, err
 	}
 	return seg, nil
+}
+
+// encodePatch turns a snapshot's cover patch into its WAL record.
+func encodePatch(pub wal.Publish, p *refresh.Patch) wal.CoverPatch {
+	cp := wal.CoverPatch{
+		Publish: pub, Mode: byte(slices.Index(patchModes[:], p.Mode)), Carried: p.Carried, C: p.C,
+		Dirty: uint32(p.DirtyNodes), Removed: p.Removed,
+	}
+	if len(p.Fresh) > 0 {
+		cp.Fresh = make([][]int32, len(p.Fresh))
+		for i, c := range p.Fresh {
+			cp.Fresh[i] = c
+		}
+	}
+	return cp
+}
+
+// decodePatch is encodePatch's inverse.
+func decodePatch(cp wal.CoverPatch) *refresh.Patch {
+	p := &refresh.Patch{Mode: patchModes[cp.Mode], Carried: cp.Carried, C: cp.C, DirtyNodes: int(cp.Dirty), Removed: cp.Removed}
+	if len(cp.Fresh) > 0 {
+		p.Fresh = make([]cover.Community, len(cp.Fresh))
+		for i, c := range cp.Fresh {
+			p.Fresh[i] = c
+		}
+	}
+	return p
+}
+
+// patchModes names refresh's rebuild modes by the WAL's mode byte
+// (wal.DecodeCoverPatch rejects bytes beyond it).
+var patchModes = [...]string{
+	wal.PatchFull:        refresh.ModeFull,
+	wal.PatchIncremental: refresh.ModeIncremental,
+	wal.PatchFastpath:    refresh.ModeFastpath,
 }
 
 func (s *Store) checkIdentity(seg *Segment) error {

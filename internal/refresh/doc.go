@@ -26,6 +26,22 @@
 // carried over (mutations never shrink the node set, so the old cover
 // remains valid) rather than failing reads.
 //
+// # What a publish changed
+//
+// Every published Snapshot carries a Patch: the previous generation's
+// community ids it dropped and the communities it appended, plus the
+// generation's mode, c and dirty count — what the publish changed, as
+// data, with no pointer to its predecessor. It is read off the
+// assembled snapshot (after any custom layer's filtering, before the
+// canonical sort), and (*Patch).ApplyCover replays it on a copy of the
+// previous cover: patch applied to generation N's cover is generation
+// N+1's, community for community, id for id. The persistence layer
+// logs it beside each publish marker and recovers by folding patches,
+// because a cover cannot be re-derived bit for bit — core.Run's result
+// depends on its seed and its worker count. PatchContext (below) is
+// the in-process twin, handed to the assembler while the predecessor
+// is still at hand.
+//
 // # Seams for custom snapshot layers
 //
 // Every publish ends in one call to Config.Assemble, by default the

@@ -163,6 +163,7 @@ func (w *Worker) fastpathSnapshot(old *Snapshot, ng *graph.Graph, ops []op, star
 	snap := w.cfg.Assemble(ng, old.Cover, old.Result, old.C, time.Since(start),
 		patchContext(old, nil, old.Cover.Len(), ops))
 	snap.RebuildMode = ModeFastpath
+	snap.Patch = diffPatch(old, snap, old.Cover, nil, old.Cover.Len())
 	return snap
 }
 
@@ -229,10 +230,12 @@ func (w *Worker) incrementalSnapshot(old *Snapshot, ng *graph.Graph, opt core.Op
 
 	snap := w.cfg.Assemble(ng, cv, res, res.C, time.Since(start),
 		patchContext(old, removedAll, kept, ops))
-	canonicalizeOrder(snap)
 	snap.RebuildMode = ModeIncremental
 	snap.DirtyNodes = len(dirty)
 	snap.Dirty = dirty
+	// The patch reads the cover in patch order: describe, then sort.
+	snap.Patch = diffPatch(old, snap, cv, removedAll, kept)
+	canonicalizeOrder(snap)
 	return snap, nil
 }
 

@@ -114,6 +114,10 @@ type Snapshot struct {
 	// still returned a locally optimal community on this generation's
 	// graph — the reuse test behind the server's cache carry-forward.
 	Dirty []int32
+	// Patch describes what this publish changed in the cover relative to
+	// generation Gen-1 (see Patch). Nil on generations no rebuild of this
+	// worker produced: the initial one, restored and mirrored ones.
+	Patch *Patch
 }
 
 // NewSnapshot assembles a Snapshot (index, stats, max degree) for the
@@ -700,6 +704,7 @@ func (w *Worker) rebuild() {
 		}
 		snap = w.cfg.Assemble(ng, cv, res, c, time.Since(start), nil)
 		snap.RebuildMode = ModeFull
+		snap.Patch = replacePatch(old, snap)
 	}
 	snap.Gen = old.Gen + 1
 	snap.Seq = taken

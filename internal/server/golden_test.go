@@ -12,7 +12,11 @@ package server
 // k1-cover.golden serves a c derived by internal/spectral (the others
 // pin c), so a change to that kernel moves the `c` and `fitness` fields
 // of that one file: `go test ./internal/server -run
-// TestGoldenResponses/k1-cover -update-golden=true`.
+// TestGoldenResponses/k1-cover -update-golden=true`. Only
+// k1-persist.golden reports a `wal_bytes` (/healthz, /debug/metrics,
+// ocad_persist_wal_bytes), the size of a WAL holding four batches, four
+// publish markers and their cover patches: a change to what a publish
+// logs moves that one number in those three places and nothing else.
 
 import (
 	"bytes"

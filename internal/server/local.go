@@ -144,6 +144,29 @@ func (p *localProvider) firstSnapshot() (*refresh.Snapshot, error) {
 	return refresh.NewSnapshot(p.g, res.Cover, res, p.c, time.Since(start)), nil
 }
 
+// RefreshConfig is the refresh.Config the single-graph server's worker
+// rebuilds under, less what only the running server adds: the resolved
+// c and the persistence and cache hooks. cmd/ocad hands the same value
+// to persist.ReplaySingle, so whatever recovery has to derive again is
+// derived under the live worker's rules.
+func (cfg Config) RefreshConfig() refresh.Config {
+	rederive := cfg.RederiveCAfter
+	if cfg.OCA.C != 0 {
+		// An explicitly pinned c is never re-derived behind the
+		// operator's back.
+		rederive = 0
+	}
+	return refresh.Config{
+		OCA:                  cfg.OCA,
+		DisableWarmStart:     cfg.DisableWarmStart,
+		Debounce:             cfg.RefreshDebounce,
+		MaxPending:           cfg.MaxPendingMutations,
+		MaxNodes:             cfg.MaxNodes,
+		RederiveCAfter:       rederive,
+		IncrementalThreshold: cfg.IncrementalThreshold,
+	}
+}
+
 // ensureCover builds the first snapshot and starts the refresh worker,
 // exactly once.
 func (p *localProvider) ensureCover() error {
@@ -161,21 +184,8 @@ func (p *localProvider) ensureCover() error {
 			// derives it from the then-current graph.
 			opt.C = p.c
 		}
-		rederive := p.cfg.RederiveCAfter
-		if p.cfg.OCA.C != 0 {
-			// An explicitly pinned c is never re-derived behind the
-			// operator's back.
-			rederive = 0
-		}
-		rcfg := refresh.Config{
-			OCA:                  opt,
-			DisableWarmStart:     p.cfg.DisableWarmStart,
-			Debounce:             p.cfg.RefreshDebounce,
-			MaxPending:           p.cfg.MaxPendingMutations,
-			MaxNodes:             p.cfg.MaxNodes,
-			RederiveCAfter:       rederive,
-			IncrementalThreshold: p.cfg.IncrementalThreshold,
-		}
+		rcfg := p.cfg.RefreshConfig()
+		rcfg.OCA = opt
 		store := p.cfg.Persist
 		if store != nil {
 			if snap.Gen == 0 {

@@ -169,7 +169,7 @@ func NewWorkerFromSnapshot(snap *refresh.Snapshot, table []int32, shardID, k int
 	restored := w.assemble(snap.Graph, snap.Cover, snap.Result, snap.C, snap.BuildTime, nil)
 	restored.Gen, restored.Seq = snap.Gen, snap.Seq
 	restored.BuiltAt = snap.BuiltAt
-	restored.RebuildMode = snap.RebuildMode
+	restored.RebuildMode, restored.DirtyNodes = snap.RebuildMode, snap.DirtyNodes
 
 	wopt := cfg.OCA
 	wopt.C = snap.C

@@ -30,6 +30,27 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(seed(func(*bytes.Buffer) {})) // header only
 	f.Add([]byte("OCAG not a wal"))
 	f.Add([]byte{})
+	// Cover patches, one per rebuild mode, then two that lie about their
+	// counts: one short of the members it declares, one whose counts
+	// overflow the payload.
+	patched := func(cp CoverPatch, mangle func([]byte) []byte) []byte {
+		return seed(func(buf *bytes.Buffer) {
+			buf.Write(appendFrame(nil, RecCoverPatch, mangle(cp.encode())))
+			buf.Write(appendFrame(nil, RecPublish, cp.Publish.encode()))
+		})
+	}
+	asIs := func(p []byte) []byte { return p }
+	incremental := CoverPatch{Publish: Publish{Gen: 3, Seq: 8}, Mode: PatchIncremental, C: 0.25, Dirty: 12,
+		Removed: []int32{0, 2}, Fresh: [][]int32{{1, 2, 3}, {4, 5, 6, 7}}}
+	f.Add(patched(CoverPatch{Publish: Publish{Gen: 2, Seq: 4}, Mode: PatchFastpath, C: 0.25}, asIs))
+	f.Add(patched(incremental, asIs))
+	f.Add(patched(CoverPatch{Publish: Publish{Gen: 4, Seq: 9}, Mode: PatchFull, Carried: true, C: 0.5,
+		Removed: []int32{0, 1, 2}, Fresh: [][]int32{{0, 1, 2, 3, 4}}}, asIs))
+	f.Add(patched(incremental, func(p []byte) []byte { return p[:len(p)-6] }))
+	f.Add(patched(incremental, func(p []byte) []byte {
+		copy(p[30:], []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) // nRemoved, nFresh
+		return p
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, recs, valid, err := ReadLog(bytes.NewReader(data))
@@ -65,6 +86,15 @@ func FuzzWALRecord(f *testing.F) {
 				if p, err := DecodePublish(rec.Payload); err == nil {
 					if got, _ := DecodePublish(p.encode()); got != p {
 						t.Fatalf("publish did not round-trip")
+					}
+				}
+			case RecCoverPatch:
+				if cp, err := DecodeCoverPatch(rec.Payload); err == nil {
+					if !bytes.Equal(cp.encode(), rec.Payload) {
+						t.Fatalf("cover patch did not round-trip")
+					}
+					if cp.encodedLen() != int64(len(rec.Payload)) {
+						t.Fatalf("cover patch encodedLen %d, payload %d bytes", cp.encodedLen(), len(rec.Payload))
 					}
 				}
 			}

@@ -47,7 +47,12 @@ func Create(path string, baseGen uint64, syncEveryAppend bool) (*Log, error) {
 // untouched logically — the torn tail, if any, is dropped by the next
 // recovery scan.
 func (l *Log) Append(typ byte, payload []byte) error {
-	frame := appendFrame(make([]byte, 0, frameHead+len(payload)), typ, payload)
+	return l.write(appendFrame(make([]byte, 0, frameHead+len(payload)), typ, payload))
+}
+
+// write appends already framed records in one write and, when the log
+// syncs, one fsync.
+func (l *Log) write(frame []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -74,6 +79,23 @@ func (l *Log) AppendEdgeBatch(b EdgeBatch) error {
 // generation.
 func (l *Log) AppendPublish(p Publish) error {
 	return l.Append(RecPublish, p.encode())
+}
+
+// AppendPatchedPublish appends the cover patch of a newly published
+// generation followed by the generation's publish marker, as one write
+// and one fsync: a reader finds the patch before the marker it
+// describes or not at all. A patch whose payload would exceed
+// MaxRecordBytes is left out — the marker alone is what every publish
+// wrote before patches existed, and recovery re-derives the generation.
+func (l *Log) AppendPatchedPublish(cp CoverPatch) error {
+	marker := cp.Publish.encode()
+	n := cp.encodedLen()
+	if n > MaxRecordBytes {
+		return l.Append(RecPublish, marker)
+	}
+	frames := make([]byte, 0, 2*frameHead+int(n)+len(marker))
+	frames = appendFrame(frames, RecCoverPatch, cp.encode())
+	return l.write(appendFrame(frames, RecPublish, marker))
 }
 
 // Size returns the current file size in bytes (header included).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 )
 
 // The on-disk constants below are normative: docs/PERSISTENCE.md
@@ -33,6 +34,20 @@ const (
 	// ops included in that generation). Recovery uses the last publish
 	// marker to restore generation numbering after replay.
 	RecPublish = byte(2)
+	// RecCoverPatch describes what a published generation changed in the
+	// cover relative to its predecessor (see CoverPatch). It is written
+	// immediately before the generation's publish marker, in the same
+	// write; recovery folds described publishes instead of re-deriving
+	// them. Additive: a reader that does not know it skips it and
+	// re-derives.
+	RecCoverPatch = byte(3)
+)
+
+// Rebuild modes as CoverPatch.Mode stores them.
+const (
+	PatchFull        = byte(0)
+	PatchIncremental = byte(1)
+	PatchFastpath    = byte(2)
 )
 
 // MaxRecordBytes caps a record's declared payload size when parsing, so
@@ -91,7 +106,29 @@ type Publish struct {
 	Seq uint64
 }
 
-// AppendEdgeBatch encodes b as a RecEdgeBatch payload.
+// CoverPatch is the payload of a RecCoverPatch record: the cover-level
+// result of one publish, relative to the generation before it. The
+// embedded Publish names the generation it produces, exactly as the
+// marker that follows it does. Removed lists, ascending, the previous
+// generation's community ids absent from the new cover; Fresh holds the
+// communities appended after the survivors (the whole cover on a full
+// publish), before the canonical sort. Carried marks a publish whose
+// rebuild failed and carried the previous cover over.
+type CoverPatch struct {
+	Publish
+	Mode    byte
+	Carried bool
+	C       float64
+	Dirty   uint32
+	Removed []int32
+	Fresh   [][]int32
+}
+
+// coverPatchHead is the fixed part of a cover-patch payload: gen, seq,
+// mode, carried, c, dirty, nRemoved, nFresh.
+const coverPatchHead = 8 + 8 + 1 + 1 + 8 + 4 + 4 + 4
+
+// encode encodes b as a RecEdgeBatch payload.
 func (b EdgeBatch) encode() []byte {
 	n := 8 + 4 + 4 + 4 + 4 + 4*len(b.NewLocals) + 8*len(b.Add) + 8*len(b.Remove)
 	out := make([]byte, 0, n)
@@ -175,6 +212,102 @@ func DecodePublish(p []byte) (Publish, error) {
 		Gen: binary.LittleEndian.Uint64(p[0:]),
 		Seq: binary.LittleEndian.Uint64(p[8:]),
 	}, nil
+}
+
+// encodedLen is the payload size encode would produce, computed without
+// building it so an over-cap patch costs nothing.
+func (cp CoverPatch) encodedLen() int64 {
+	n := int64(coverPatchHead) + 4*int64(len(cp.Removed))
+	for _, c := range cp.Fresh {
+		n += 4 + 4*int64(len(c))
+	}
+	return n
+}
+
+func (cp CoverPatch) encode() []byte {
+	out := make([]byte, 0, cp.encodedLen())
+	out = binary.LittleEndian.AppendUint64(out, cp.Gen)
+	out = binary.LittleEndian.AppendUint64(out, cp.Seq)
+	carried := byte(0)
+	if cp.Carried {
+		carried = 1
+	}
+	out = append(out, cp.Mode, carried)
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(cp.C))
+	out = binary.LittleEndian.AppendUint32(out, cp.Dirty)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(cp.Removed)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(cp.Fresh)))
+	for _, id := range cp.Removed {
+		out = binary.LittleEndian.AppendUint32(out, uint32(id))
+	}
+	for _, c := range cp.Fresh {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(c)))
+		for _, v := range c {
+			out = binary.LittleEndian.AppendUint32(out, uint32(v))
+		}
+	}
+	return out
+}
+
+// DecodeCoverPatch parses a RecCoverPatch payload. Like DecodeEdgeBatch
+// it checks every declared count against the bytes actually present
+// before allocating, so a hostile count cannot demand memory the
+// payload does not back. It checks the encoding only; whether the ids
+// fit the cover the patch is applied to is the applier's question.
+func DecodeCoverPatch(p []byte) (CoverPatch, error) {
+	var cp CoverPatch
+	if len(p) < coverPatchHead {
+		return cp, fmt.Errorf("wal: cover-patch payload %d bytes, want >= %d", len(p), coverPatchHead)
+	}
+	cp.Gen = binary.LittleEndian.Uint64(p[0:])
+	cp.Seq = binary.LittleEndian.Uint64(p[8:])
+	cp.Mode = p[16]
+	if cp.Mode > PatchFastpath {
+		return cp, fmt.Errorf("wal: cover-patch mode %d unknown", cp.Mode)
+	}
+	if p[17] > 1 {
+		return cp, fmt.Errorf("wal: cover-patch carried flag %d, want 0 or 1", p[17])
+	}
+	cp.Carried = p[17] == 1
+	cp.C = math.Float64frombits(binary.LittleEndian.Uint64(p[18:]))
+	cp.Dirty = binary.LittleEndian.Uint32(p[26:])
+	nRemoved := binary.LittleEndian.Uint32(p[30:])
+	nFresh := binary.LittleEndian.Uint32(p[34:])
+	p = p[coverPatchHead:]
+	// Every fresh community costs at least its length prefix.
+	if 4*int64(nRemoved)+4*int64(nFresh) > int64(len(p)) {
+		return cp, fmt.Errorf("wal: cover-patch declares %d removed ids and %d communities in %d bytes", nRemoved, nFresh, len(p))
+	}
+	if nRemoved > 0 {
+		cp.Removed = make([]int32, nRemoved)
+		for i := range cp.Removed {
+			cp.Removed[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
+		}
+		p = p[4*nRemoved:]
+	}
+	if nFresh > 0 {
+		cp.Fresh = make([][]int32, 0, nFresh)
+	}
+	for i := uint32(0); i < nFresh; i++ {
+		if len(p) < 4 {
+			return cp, fmt.Errorf("wal: cover-patch truncated at community %d", i)
+		}
+		m := binary.LittleEndian.Uint32(p)
+		p = p[4:]
+		if 4*int64(m) > int64(len(p)) {
+			return cp, fmt.Errorf("wal: cover-patch community %d declares %d members in %d bytes", i, m, len(p))
+		}
+		members := make([]int32, m)
+		for j := range members {
+			members[j] = int32(binary.LittleEndian.Uint32(p[4*j:]))
+		}
+		p = p[4*m:]
+		cp.Fresh = append(cp.Fresh, members)
+	}
+	if len(p) != 0 {
+		return cp, fmt.Errorf("wal: cover-patch payload has %d trailing bytes", len(p))
+	}
+	return cp, nil
 }
 
 // appendFrame appends one framed record to dst.

@@ -190,3 +190,125 @@ func TestAppendAfterClose(t *testing.T) {
 		t.Error("append after close succeeded")
 	}
 }
+
+func testPatch(gen, seq uint64) CoverPatch {
+	return CoverPatch{
+		Publish: Publish{Gen: gen, Seq: seq},
+		Mode:    PatchIncremental, C: 0.4375, Dirty: 57,
+		Removed: []int32{1, 4},
+		Fresh:   [][]int32{{0, 1, 2, 9}, {3, 4, 5}},
+	}
+}
+
+// TestPatchedPublishRoundTrip pins the cover-patch record: it decodes to
+// what was appended, and it reaches the file in front of its marker as
+// part of the same append — cut anywhere inside that append and neither
+// record survives without the other except the patch alone, which names
+// a generation no marker published.
+func TestPatchedPublishRoundTrip(t *testing.T) {
+	cp := testPatch(4, 9)
+	carried := CoverPatch{Publish: Publish{Gen: 5, Seq: 11}, Mode: PatchFull, Carried: true, C: 0.5}
+	path, raw := writeLog(t,
+		func(l *Log) error { return l.AppendEdgeBatch(testBatch(9)) },
+		func(l *Log) error { return l.AppendPatchedPublish(cp) },
+		func(l *Log) error { return l.AppendPatchedPublish(carried) },
+	)
+	_, recs, _, err := ReadLogFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []byte
+	for _, r := range recs {
+		types = append(types, r.Type)
+	}
+	if want := []byte{RecEdgeBatch, RecCoverPatch, RecPublish, RecCoverPatch, RecPublish}; !bytes.Equal(types, want) {
+		t.Fatalf("record types = %v, want %v", types, want)
+	}
+	for i, want := range map[int]CoverPatch{1: cp, 3: carried} {
+		got, err := DecodeCoverPatch(recs[i].Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("patch at record %d = %+v, want %+v", i, got, want)
+		}
+		pub, err := DecodePublish(recs[i+1].Payload)
+		if err != nil || pub != want.Publish {
+			t.Errorf("marker after patch %d = %+v (%v), want %+v", i, pub, err, want.Publish)
+		}
+	}
+
+	// Torn anywhere inside the first patch+marker append: the marker is
+	// never readable without its patch.
+	batchEnd := headerSize + frameHead + len(recs[0].Payload)
+	patchEnd := batchEnd + frameHead + len(recs[1].Payload)
+	appendEnd := patchEnd + frameHead + len(recs[2].Payload)
+	for cut := batchEnd + 1; cut < appendEnd; cut++ {
+		_, got, _, err := ReadLog(bytes.NewReader(raw[:cut]))
+		if torn := errors.Is(err, ErrTorn); torn == (cut == patchEnd) {
+			t.Fatalf("cut at %d: err = %v, want ErrTorn everywhere but at the frame boundary %d", cut, err, patchEnd)
+		}
+		if n := len(got); n != 1 && !(n == 2 && got[1].Type == RecCoverPatch) {
+			t.Fatalf("cut at %d surfaced %d records, last type %d: a marker without its patch", cut, n, got[n-1].Type)
+		}
+	}
+}
+
+// TestOversizePatchIsNotWritten: a patch that would not fit a record is
+// left out and the marker is written alone, as before patches existed.
+func TestOversizePatchIsNotWritten(t *testing.T) {
+	huge := CoverPatch{Publish: Publish{Gen: 2, Seq: 1}, Fresh: [][]int32{make([]int32, MaxRecordBytes/4)}}
+	path, _ := writeLog(t, func(l *Log) error { return l.AppendPatchedPublish(huge) })
+	_, recs, _, err := ReadLogFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Type != RecPublish {
+		t.Fatalf("records = %d (first type %d), want the publish marker alone", len(recs), recs[0].Type)
+	}
+	if pub, err := DecodePublish(recs[0].Payload); err != nil || pub != huge.Publish {
+		t.Errorf("marker = %+v (%v), want %+v", pub, err, huge.Publish)
+	}
+}
+
+// TestDecodeCoverPatchRejectsLengthMismatch mirrors the edge-batch test
+// and adds the hostile counts: a declared count is checked against the
+// bytes present before anything is allocated from it.
+func TestDecodeCoverPatchRejectsLengthMismatch(t *testing.T) {
+	b := testPatch(4, 9).encode()
+	if _, err := DecodeCoverPatch(b[:len(b)-2]); err == nil {
+		t.Error("truncated payload decoded without error")
+	}
+	if _, err := DecodeCoverPatch(append(b[:len(b):len(b)], 0)); err == nil {
+		t.Error("padded payload decoded without error")
+	}
+	if _, err := DecodeCoverPatch(nil); err == nil {
+		t.Error("empty payload decoded without error")
+	}
+	const nRemovedAt, nFreshAt, firstLenAt = 30, 34, coverPatchHead + 2*4
+	for name, at := range map[string]int{"removed count": nRemovedAt, "fresh count": nFreshAt, "member count": firstLenAt} {
+		hostile := append([]byte(nil), b...)
+		copy(hostile[at:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := DecodeCoverPatch(hostile); err == nil {
+				t.Errorf("%s of 2^32-1 decoded without error", name)
+			}
+		})
+		// The error value and what was legitimately decoded before the
+		// hostile field; 4 GiB of ids would not fit in a handful.
+		if allocs > 8 {
+			t.Errorf("%s of 2^32-1 cost %.0f allocations", name, allocs)
+		}
+	}
+	for _, bad := range []struct {
+		name string
+		at   int
+		val  byte
+	}{{"mode", 16, 3}, {"carried flag", 17, 2}} {
+		c := append([]byte(nil), b...)
+		c[bad.at] = bad.val
+		if _, err := DecodeCoverPatch(c); err == nil {
+			t.Errorf("%s byte %d decoded without error", bad.name, bad.val)
+		}
+	}
+}
