@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/core/... ./internal/search/... ./internal/graph/... ./in
 COVER_PKGS := repro/internal/spectral repro/internal/server repro/internal/refresh repro/internal/shard repro/internal/index repro/internal/postprocess repro/internal/transport repro/internal/wal repro/internal/persist repro/internal/resilience repro/internal/faultinject
 COVER_MIN := 75
 
-.PHONY: build test test-slow race vet fmt-check bench-smoke bench-shard bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke test-shard-compose test-core-count run-cluster check clean
+.PHONY: build test test-slow race vet fmt-check bench-smoke bench-shard bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke test-shard-compose test-core-count test-mirror run-cluster check clean
 
 build:
 	$(GO) build ./...
@@ -42,7 +42,8 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # One iteration of every benchmark — checks they still compile and run,
-# and emits the raw output for trend tooling. Redirect instead of tee so
+# and emits the raw output for trend tooling (BenchmarkMirrorSync's
+# full/chain legs are the mirror-resync budget line, with wire bytes). Redirect instead of tee so
 # a failing benchmark fails the target (sh has no pipefail).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > BENCH_smoke.json; \
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionMap$$' -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotChain$$' -fuzztime $(FUZZTIME) ./internal/transport
 
 # Per-package coverage summary, failing if any COVER_PKGS package drops
 # below COVER_MIN% of statements. Redirect instead of tee so a test
@@ -130,6 +132,15 @@ test-shard-compose:
 # what a publish logs, what the WAL parses.
 test-core-count:
 	$(GO) test -count=1 -cpu 1,3,8 ./internal/persist ./internal/refresh ./internal/wal
+
+# Snapshot mirrors fed chains of publishes, repeated under the race
+# detector: the chain-vs-full equivalence property (its -short size),
+# the wire compatibility legs both ways, the miss fallback, hostile
+# links, and the ring and fold they rest on — green on every run, not
+# most.
+MIRROR_TESTS := 'TestMirrorChainEqualsFull|TestSnapshotWithoutAcceptIsFullStream|TestMirrorReadsFullStreamFromServerIgnoringAccept|TestChainAfterFlushNeverMisses|TestChainMissFallsBackAndCounts|TestHostileChainRejected|TestWorkerChainAfterFlush|TestRing|TestFoldStepIsAtomic'
+test-mirror:
+	$(GO) test -race -short -count=20 -run $(MIRROR_TESTS) ./internal/persist ./internal/transport ./internal/shard
 
 # Local dev convenience: spawn SHARDS shard-server processes plus a
 # router on this machine (generating a demo LFR graph when GRAPH is

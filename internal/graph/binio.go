@@ -37,8 +37,8 @@ func WriteBinary(w io.Writer, g *Graph) error {
 }
 
 // ReadBinary parses the format written by WriteBinary, validating the
-// CSR invariants (monotone offsets, in-range sorted adjacency,
-// symmetry is trusted) before constructing the graph.
+// CSR invariants (monotone offsets, in-range strictly sorted adjacency,
+// no self loops, symmetry) before constructing the graph.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	return ReadBinaryLimits(r, ReadLimits{})
 }
@@ -104,9 +104,45 @@ func ReadBinaryLimits(r io.Reader, lim ReadLimits) (*Graph, error) {
 			if i > 0 && list[i-1] >= w {
 				return nil, fmt.Errorf("graph: adjacency of node %d not strictly sorted", v)
 			}
+			if int64(w) == v {
+				return nil, fmt.Errorf("graph: node %d has a self loop", v)
+			}
 		}
 	}
+	if err := checkSymmetric(offsets, adj); err != nil {
+		return nil, err
+	}
 	return &Graph{offsets: offsets, adj: adj}, nil
+}
+
+// checkSymmetric verifies that every half-edge v→w has its twin w→v, in
+// one O(n+m) pass over sorted, in-range, loop-free adjacency: visiting
+// the nodes in ascending order, the smaller endpoints naming w arrive in
+// ascending order, so they must match w's lower neighbors one by one
+// (cursor[w] walks them), and every lower neighbor must be matched by
+// the time w's own turn comes.
+func checkSymmetric(offsets []int64, adj []int32) error {
+	n := len(offsets) - 1
+	cursor := make([]int64, n)
+	copy(cursor, offsets[:n])
+	for v := 0; v < n; v++ {
+		list := adj[offsets[v]:offsets[v+1]]
+		lower := 0
+		for lower < len(list) && int(list[lower]) < v {
+			lower++
+		}
+		if cursor[v] != offsets[v]+int64(lower) {
+			return fmt.Errorf("graph: adjacency not symmetric at node %d", v)
+		}
+		for _, w := range list[lower:] {
+			c := cursor[w]
+			if c >= offsets[w+1] || adj[c] != int32(v) {
+				return fmt.Errorf("graph: adjacency not symmetric: edge {%d,%d} has no twin", v, w)
+			}
+			cursor[w] = c + 1
+		}
+	}
+	return nil
 }
 
 const readChunk = 1 << 20 // entries per chunked read

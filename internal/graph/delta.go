@@ -100,6 +100,44 @@ func (d *Delta) Touched() []int32 {
 	return out
 }
 
+// resolved returns the recorded operations reduced to one per edge,
+// ascending by edge: a stable sort keeps arrival order within a pair,
+// then the last entry wins.
+func (d *Delta) resolved() []deltaOp {
+	ops := make([]deltaOp, len(d.ops))
+	copy(ops, d.ops)
+	sort.SliceStable(ops, func(i, j int) bool {
+		if ops[i].u != ops[j].u {
+			return ops[i].u < ops[j].u
+		}
+		return ops[i].v < ops[j].v
+	})
+	out := ops[:0]
+	for i, o := range ops {
+		if i+1 < len(ops) && ops[i+1].u == o.u && ops[i+1].v == o.v {
+			continue // superseded by a later op on the same edge
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+// Net returns the recorded operations as Apply resolves them — one per
+// distinct edge, the last operation on it winning — split into additions
+// and removals, each edge as (smaller, larger) endpoint, ascending.
+// Replaying Net onto the base graph, in any order, gives Apply's result;
+// so does recording several Deltas' Nets, in their order, onto one.
+func (d *Delta) Net() (add, remove [][2]int32) {
+	for _, o := range d.resolved() {
+		if o.del {
+			remove = append(remove, [2]int32{o.u, o.v})
+		} else {
+			add = append(add, [2]int32{o.u, o.v})
+		}
+	}
+	return add, remove
+}
+
 // Apply merges the recorded operations into the base graph's CSR arrays
 // and returns the resulting Graph. The base graph is untouched; when no
 // operation changes anything, the base graph itself is returned. The
@@ -122,16 +160,6 @@ func (d *Delta) Apply() *Graph {
 		return &Graph{offsets: offsets, adj: d.g.adj}
 	}
 
-	// Resolve to one effective operation per edge: stable sort by edge
-	// keeps arrival order within a pair, then the last entry wins.
-	ops := make([]deltaOp, len(d.ops))
-	copy(ops, d.ops)
-	sort.SliceStable(ops, func(i, j int) bool {
-		if ops[i].u != ops[j].u {
-			return ops[i].u < ops[j].u
-		}
-		return ops[i].v < ops[j].v
-	})
 	// Per-node change lists. Because ops are sorted by (u, v) and u < v,
 	// each node's adds/dels come out ascending without a per-node sort:
 	// entries with the node on the v side (partners < node) all precede
@@ -139,10 +167,7 @@ func (d *Delta) Apply() *Graph {
 	adds := make(map[int32][]int32)
 	dels := make(map[int32][]int32)
 	changed := false
-	for i, o := range ops {
-		if i+1 < len(ops) && ops[i+1].u == o.u && ops[i+1].v == o.v {
-			continue // superseded by a later op on the same edge
-		}
+	for _, o := range d.resolved() {
 		// Edges naming grown nodes cannot pre-exist in the base graph
 		// (and HasEdge would index past its offsets table).
 		exists := int(o.v) < base && d.g.HasEdge(o.u, o.v)

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/lfr"
 	"repro/internal/refresh"
@@ -228,6 +227,9 @@ func (r *run) play(steps int) {
 		case op == 12 && !r.sharded && !r.drift:
 			r.failOnce()
 			continue
+		case op == 12 && r.sharded && !r.drift:
+			r.failOnceShard()
+			continue
 		case op == 13 && r.sharded && !r.mapChanged:
 			r.changeMap()
 			continue
@@ -323,6 +325,33 @@ func (r *run) failOnce() {
 	}
 	r.rw.Close()
 	r.startSingleWorker(carried, r.rcfg)
+}
+
+// failOnceShard is failOnce on the shard: the worker is restarted from
+// its published generation with c = 1.5 pinned (a restored worker pins
+// its snapshot's c), publishes one carried-over generation, and is
+// restarted again with the working c. Nothing is sealed: to the log the
+// restarts are invisible, and only the carried publish is written.
+func (r *run) failOnceShard() {
+	r.flushed()
+	good := r.sw.Snapshot().C
+	restart := func(snap *refresh.Snapshot, c float64, cfg shard.Config) {
+		table := r.sw.Table()[:snap.Graph.N()]
+		pinned := *snap
+		pinned.C = c
+		r.sw.Close()
+		r.sw = shard.NewWorkerFromSnapshot(&pinned, table, histShard, histK, cfg, r.maxNodes)
+	}
+	pm := r.sw.PartitionMap()
+	broken := r.liveShardConfig(pm)
+	broken.RederiveCAfter = 0
+	restart(r.sw.Snapshot(), 1.5, broken)
+	r.must(r.edges(2, r.nonEdge), nil, nil, 0)
+	carried := r.flushed()
+	if carried.Result != nil {
+		r.t.Fatalf("generation %d: the rebuild under c=1.5 succeeded: test premise", carried.Gen)
+	}
+	restart(carried, good, r.liveShardConfig(pm))
 }
 
 // changeMap installs a partition map that hands this shard a range of
@@ -555,29 +584,6 @@ func (r *run) restartLegs() {
 			got.Gen, got.Graph.M(), len(fourth.st.Tail), sealed, third.serving.Gen, third.serving.Graph.M())
 	}
 	r.kill()
-}
-
-// TestPatchFits pins the validation a logged patch passes before it is
-// applied: ids and members in range and strictly ascending.
-func TestPatchFits(t *testing.T) {
-	for name, tc := range map[string]struct {
-		p    refresh.Patch
-		fits bool
-	}{
-		"empty":                {refresh.Patch{}, true},
-		"in range":             {refresh.Patch{Removed: []int32{0, 2}, Fresh: []cover.Community{{0, 9}, {3}}}, true},
-		"removed id past":      {refresh.Patch{Removed: []int32{3}}, false},
-		"removed id negative":  {refresh.Patch{Removed: []int32{-1}}, false},
-		"removed twice":        {refresh.Patch{Removed: []int32{1, 1}}, false},
-		"removed descending":   {refresh.Patch{Removed: []int32{2, 0}}, false},
-		"member past":          {refresh.Patch{Fresh: []cover.Community{{0, 10}}}, false},
-		"member negative":      {refresh.Patch{Fresh: []cover.Community{{-4, 1}}}, false},
-		"members out of order": {refresh.Patch{Fresh: []cover.Community{{5, 4}}}, false},
-	} {
-		if got := patchFits(&tc.p, 3, 10); got != tc.fits {
-			t.Errorf("%s: patchFits = %v, want %v", name, got, tc.fits)
-		}
-	}
 }
 
 // crashFixture is TestSingleCrashRestartRoundTrip's history over g, for

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/refresh"
 	"repro/internal/shard"
 	"repro/internal/wal"
@@ -235,14 +233,13 @@ func replayGroups(tail []wal.EdgeBatch, pubs []wal.Publish, apply func(wal.EdgeB
 
 // foldTail reads the described prefix of the tail back from the log
 // instead of re-deriving it: for the longest run of publish markers
-// that each have a fitting cover patch, the patches applied to the
-// segment's cover in publish order and one graph.Delta over all their
-// edge batches (node growth as refresh.ValidateBatch decides it, table
-// growth as shard.Worker.ApplyBatch reconciles it). The result is the
-// last folded generation as a bare snapshot — no index, no stats, no
-// Aux: the serving layer assembles once — with its translation table
-// and the number of tail batches and markers consumed. Nothing folded
-// returns a nil snapshot.
+// that each have a fitting cover patch, shard.Fold over the segment —
+// the patches applied to its cover in publish order, one graph.Delta
+// over all their edge batches, table growth by shard.ReconcileTable.
+// The result is the last folded generation as a bare snapshot — no
+// index, no stats, no Aux: the serving layer assembles once — with its
+// translation table and the number of tail batches and markers
+// consumed. Nothing folded returns a nil snapshot.
 //
 // The fold stops at the first publish the log does not describe: a
 // marker without a patch (a WAL written before patches existed, a patch
@@ -255,129 +252,42 @@ func foldTail(st *State, maxNodes int) (snap *refresh.Snapshot, table []int32, b
 	for i := range st.Patches {
 		patches[st.Patches[i].Gen] = &st.Patches[i]
 	}
-	var (
-		n, cv, gen = seg.Graph.N(), seg.Cover, seg.Info.Gen
-		tbl        = tableFold{locals: seg.Table}
-		tableLen   = len(seg.Table) // of the last folded generation
-		last       *refresh.Patch
-	)
-	maxNodes = max(maxNodes, n) // growth disabled: the node set stays fixed
-fold:
+	f := shard.NewFold(seg.Graph, seg.Cover, seg.Info.Gen, seg.Table, maxNodes)
 	for _, pub := range st.Publishes {
 		cp := patches[pub.Gen]
-		if cp == nil || cp.Seq != pub.Seq || pub.Gen != gen+1 {
+		if cp == nil || cp.Seq != pub.Seq {
 			break
 		}
-		end, grown := batches, n
-		for ; end < len(st.Tail) && st.Tail[end].Seq <= pub.Seq; end++ {
-			b := st.Tail[end]
-			var err error
-			if grown, err = refresh.ValidateBatch(b.Add, b.Remove, grown, maxNodes); err != nil || !tbl.reconcile(b) {
-				break fold
-			}
+		end := batches
+		for end < len(st.Tail) && st.Tail[end].Seq <= pub.Seq {
+			end++
 		}
-		p := decodePatch(*cp)
-		if !patchFits(p, cv.Len(), grown) {
+		group := make([]shard.Batch, 0, end-batches)
+		for _, b := range st.Tail[batches:end] {
+			group = append(group, shard.Batch{Base: b.Base, NewLocals: b.NewLocals, Add: b.Add, Remove: b.Remove})
+		}
+		if f.Step(pub.Gen, group, 0, decodePatch(*cp)) != nil {
 			break
 		}
-		cv = p.ApplyCover(cv)
-		n, tableLen, batches, gen, last = grown, len(tbl.locals), end, pub.Gen, p
+		batches = end
 		pubs++
 	}
 	if pubs == 0 {
 		return nil, nil, 0, 0
 	}
-
-	d := graph.NewDelta(seg.Graph)
-	d.GrowTo(n)
-	for _, b := range st.Tail[:batches] {
-		// Validated above against the same bounds: the Delta's own checks
-		// cannot fail.
-		for _, e := range b.Add {
-			_ = d.AddEdge(e[0], e[1])
-		}
-		for _, e := range b.Remove {
-			_ = d.RemoveEdge(e[0], e[1])
-		}
-	}
+	last := f.Last()
 	snap = &refresh.Snapshot{
-		Gen: gen, Seq: st.Publishes[pubs-1].Seq,
-		Graph: d.Apply(), Cover: cv, C: last.C,
+		Gen: f.Gen(), Seq: st.Publishes[pubs-1].Seq,
+		Graph: f.Graph(), Cover: f.Cover(), C: last.C,
 		BuiltAt: time.Now(), RebuildMode: last.Mode, DirtyNodes: last.DirtyNodes,
 	}
 	if !last.Carried {
 		// Published covers went through the merge (see Segment.Snapshot);
 		// a carry-over did not, and the live worker's next rebuild ran
 		// full because of it.
-		snap.Result = &core.Result{Cover: cv, C: last.C}
+		snap.Result = &core.Result{Cover: snap.Cover, C: last.C}
 	}
-	return snap, tbl.locals[:tableLen:tableLen], batches, pubs
-}
-
-// tableFold grows a local→global translation table the way
-// shard.Worker.ApplyBatch does, without a worker.
-type tableFold struct {
-	locals []int32
-	index  map[int32]int32 // global → local; built on first growth
-}
-
-// reconcile applies one logged batch's table growth, reporting false
-// where ApplyBatch would report a table conflict.
-func (t *tableFold) reconcile(b wal.EdgeBatch) bool {
-	cur := len(t.locals)
-	if b.Base > cur {
-		return false
-	}
-	overlap := min(cur-b.Base, len(b.NewLocals))
-	if !slices.Equal(t.locals[b.Base:b.Base+overlap], b.NewLocals[:overlap]) {
-		return false
-	}
-	fresh := b.NewLocals[overlap:]
-	if len(fresh) == 0 {
-		return true
-	}
-	if t.index == nil {
-		t.index = make(map[int32]int32, cur+len(fresh))
-		for l, gv := range t.locals {
-			t.index[gv] = int32(l)
-		}
-	}
-	for _, gv := range fresh {
-		if _, mapped := t.index[gv]; mapped {
-			return false
-		}
-	}
-	for _, gv := range fresh {
-		if _, mapped := t.index[gv]; !mapped {
-			t.index[gv] = int32(len(t.locals))
-			t.locals = append(t.locals, gv)
-		}
-	}
-	return true
-}
-
-// patchFits validates a logged patch against the cover it is about to
-// be applied to (prevLen communities) and the node range of the
-// generation it produces. The record's CRC vouches for the bytes, not
-// for what they name.
-func patchFits(p *refresh.Patch, prevLen, n int) bool {
-	prev := int32(-1)
-	for _, id := range p.Removed {
-		if id <= prev || int(id) >= prevLen {
-			return false
-		}
-		prev = id
-	}
-	for _, c := range p.Fresh {
-		prev = -1
-		for _, v := range c {
-			if v <= prev || int(v) >= n {
-				return false
-			}
-			prev = v
-		}
-	}
-	return true
+	return snap, f.Table(), batches, pubs
 }
 
 // recoverTail is the recovery both roles share: fold what the log

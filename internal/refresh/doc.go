@@ -42,6 +42,14 @@
 // the in-process twin, handed to the assembler while the predecessor
 // is still at hand.
 //
+// In memory a Patch also holds the publish's edge operations, resolved
+// one per edge the way graph.Delta.Net resolves them, and the
+// predecessor's node count. With those it describes the whole publish,
+// not only its cover: the shard layer ships it to snapshot mirrors as a
+// link and replays it there with the same fold recovery uses. The WAL
+// does not store them — it already holds the edge batches — so its
+// patch record is unchanged.
+//
 // # Seams for custom snapshot layers
 //
 // Every publish ends in one call to Config.Assemble, by default the

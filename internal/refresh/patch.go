@@ -35,6 +35,14 @@ type Patch struct {
 	// patch order (the whole published cover on a full publish). The
 	// member slices are the snapshot's own.
 	Fresh []cover.Community
+	// PrevNodes is the predecessor's node count, and Add and Remove the
+	// edge operations the publish applied to its graph, resolved the way
+	// graph.Delta.Net resolves them. With them the patch describes the
+	// whole publish, so a mirror can replay it without the graph
+	// (shard.Fold). In memory only: the WAL records the edge batches
+	// where they were accepted, and its patch record does not change.
+	PrevNodes   int
+	Add, Remove [][2]int32
 }
 
 // ApplyCover returns the cover this patch turns prev into: prev's

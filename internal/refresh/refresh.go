@@ -706,6 +706,8 @@ func (w *Worker) rebuild() {
 		snap.RebuildMode = ModeFull
 		snap.Patch = replacePatch(old, snap)
 	}
+	snap.Patch.PrevNodes = old.Graph.N()
+	snap.Patch.Add, snap.Patch.Remove = d.Net()
 	snap.Gen = old.Gen + 1
 	snap.Seq = taken
 	w.cur.Store(snap)

@@ -1,7 +1,8 @@
 package resilience
 
 // Stats is a point-in-time snapshot of one backend's resilience
-// counters, assembled by the owner of the breaker/retryer pair and
+// counters — and, riding the same block, its snapshot mirror's —
+// assembled by the owner of the breaker/retryer pair and
 // surfaced through /healthz, /debug/metrics JSON, and the ocad_*
 // Prometheus series. Counter fields are cumulative since process
 // start; reads may tear across fields, which is fine for monitoring.
@@ -20,6 +21,15 @@ type Stats struct {
 	// DeadlineExceeded counts RPCs abandoned because a deadline fired
 	// or the caller hung up mid-flight.
 	DeadlineExceeded uint64 `json:"deadline_exceeded"`
+	// MirrorChainSyncs and MirrorFullSyncs count the snapshot syncs that
+	// brought the backend's mirror forward by folding a chain of publishes
+	// and by decoding a whole snapshot; MirrorBytes is what they read.
+	// ChainMisses is the backend's own count of chain requests it had to
+	// answer with a whole snapshot (as of its last health probe).
+	MirrorChainSyncs uint64 `json:"mirror_chain_syncs"`
+	MirrorFullSyncs  uint64 `json:"mirror_full_syncs"`
+	MirrorBytes      uint64 `json:"mirror_bytes"`
+	ChainMisses      uint64 `json:"chain_misses"`
 }
 
 // Add accumulates o's counters into s (for aggregating a replica
@@ -31,6 +41,10 @@ func (s *Stats) Add(o Stats) {
 	s.Retries += o.Retries
 	s.RetryBudgetExhausted += o.RetryBudgetExhausted
 	s.DeadlineExceeded += o.DeadlineExceeded
+	s.MirrorChainSyncs += o.MirrorChainSyncs
+	s.MirrorFullSyncs += o.MirrorFullSyncs
+	s.MirrorBytes += o.MirrorBytes
+	s.ChainMisses += o.ChainMisses
 	switch {
 	case s.BreakerState == Open.String() || o.BreakerState == Open.String():
 		s.BreakerState = Open.String()

@@ -464,6 +464,22 @@ func (m *httpMetrics) writePrometheus(w http.ResponseWriter, refresh []refreshMe
 		for _, e := range res {
 			fmt.Fprintf(&b, "ocad_deadline_exceeded_total{shard=\"%d\"} %d\n", e.Shard, e.DeadlineExceeded)
 		}
+		b.WriteString("# HELP ocad_mirror_syncs_total Snapshot syncs that moved the shard's mirror, by kind (chain: publishes folded; full: whole snapshot decoded).\n")
+		b.WriteString("# TYPE ocad_mirror_syncs_total counter\n")
+		for _, e := range res {
+			fmt.Fprintf(&b, "ocad_mirror_syncs_total{shard=\"%d\",kind=\"chain\"} %d\n", e.Shard, e.MirrorChainSyncs)
+			fmt.Fprintf(&b, "ocad_mirror_syncs_total{shard=\"%d\",kind=\"full\"} %d\n", e.Shard, e.MirrorFullSyncs)
+		}
+		b.WriteString("# HELP ocad_mirror_bytes_total Bytes the shard's mirror syncs read.\n")
+		b.WriteString("# TYPE ocad_mirror_bytes_total counter\n")
+		for _, e := range res {
+			fmt.Fprintf(&b, "ocad_mirror_bytes_total{shard=\"%d\"} %d\n", e.Shard, e.MirrorBytes)
+		}
+		b.WriteString("# HELP ocad_chain_misses_total Chain requests the shard answered with a whole snapshot (its last health probe).\n")
+		b.WriteString("# TYPE ocad_chain_misses_total counter\n")
+		for _, e := range res {
+			fmt.Fprintf(&b, "ocad_chain_misses_total{shard=\"%d\"} %d\n", e.Shard, e.ChainMisses)
+		}
 	}
 	b.WriteString("# HELP ocad_http_requests_total Requests served, by route.\n")
 	b.WriteString("# TYPE ocad_http_requests_total counter\n")

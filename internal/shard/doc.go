@@ -31,7 +31,12 @@
 //     it in-process, and internal/transport's Client implements it
 //     over the wire (each shard in its own process), shipping
 //     translation-table growth with each mutation batch (Batch,
-//     ApplyBatch) and mirroring snapshots for reads.
+//     ApplyBatch, ReconcileTable) and mirroring snapshots for reads.
+//   - Link, Ring and Fold (chain.go) describe publishes completely
+//     enough to replay them without a worker: the Worker keeps its
+//     newest links in a Ring, mirrors catch up by folding the links
+//     they missed, and recovery folds the WAL's description of the
+//     same publishes through the same Fold.
 //   - Router owns K backends: all-or-nothing mutation admission,
 //     global→local translation with ghost materialization, per-request
 //     Views, and the (shard, generation) vector (GenVector) every

@@ -91,6 +91,10 @@ type Worker struct {
 	shipping Batch
 
 	worker *refresh.Worker
+
+	// ring holds the links of the newest publishes for mirrors to catch
+	// up from (see Chain); filled by the publish hook.
+	ring Ring
 }
 
 // NewWorker computes the shard's first generation from its piece of the
@@ -198,8 +202,11 @@ func (w *Worker) refreshConfig(cfg Config, wopt core.Options) refresh.Config {
 		IncrementalThreshold: cfg.IncrementalThreshold,
 		Assemble:             w.assemble,
 	}
-	if cfg.OnSwap != nil {
-		wcfg.OnSwap = func(snap *refresh.Snapshot) { cfg.OnSwap(w.id, snap) }
+	wcfg.OnSwap = func(snap *refresh.Snapshot) {
+		w.ring.Push(LinkOf(snap, w.Table()), FullSize(snap))
+		if cfg.OnSwap != nil {
+			cfg.OnSwap(w.id, snap)
+		}
 	}
 	if cfg.LogBatch != nil {
 		wcfg.LogBatch = func(add, remove [][2]int32, seq uint64) error {
@@ -353,35 +360,18 @@ type Batch struct {
 // calling EnsureLocal then Apply in-process. It returns the generation
 // current at enqueue time (any strictly larger published generation
 // includes the batch) and the number of operations queued. A table
-// conflict — entries that contradict the existing mapping, or a gap
-// beyond the current table — reports an error and queues nothing; it
-// means a second writer grew the table, which the protocol forbids.
+// conflict under ReconcileTable's rule reports an error and queues
+// nothing; it means a second writer grew the table, which the protocol
+// forbids.
 func (w *Worker) ApplyBatch(b Batch) (gen uint64, queued int, err error) {
 	w.applyMu.Lock()
 	defer w.applyMu.Unlock()
 
-	table := w.Table()
-	cur := len(table)
-	if b.Base > cur {
-		return 0, 0, fmt.Errorf("shard %d: %w: batch base %d beyond table length %d", w.id, ErrTableConflict, b.Base, cur)
+	fresh, err := ReconcileTable(w.Table(), w.Lookup, b.Base, b.NewLocals)
+	if err != nil {
+		return 0, 0, fmt.Errorf("shard %d: %w", w.id, err)
 	}
-	// Entries below the current length are re-ships: verify, don't append.
-	overlap := cur - b.Base
-	if overlap > len(b.NewLocals) {
-		overlap = len(b.NewLocals)
-	}
-	for i := 0; i < overlap; i++ {
-		if table[b.Base+i] != b.NewLocals[i] {
-			return 0, 0, fmt.Errorf("shard %d: %w at local %d: have global %d, batch ships %d",
-				w.id, ErrTableConflict, b.Base+i, table[b.Base+i], b.NewLocals[i])
-		}
-	}
-	for _, gv := range b.NewLocals[overlap:] {
-		if l, ok := w.Lookup(gv); ok {
-			return 0, 0, fmt.Errorf("shard %d: %w: global %d already mapped to local %d", w.id, ErrTableConflict, gv, l)
-		}
-	}
-	for _, gv := range b.NewLocals[overlap:] {
+	for _, gv := range fresh {
 		w.EnsureLocal(gv)
 	}
 	// Stash the shipped growth for the WAL hook firing inside Enqueue:
@@ -411,6 +401,25 @@ func (w *Worker) Status() WorkerStatus {
 		C:      w.worker.Snapshot().C,
 		Status: w.worker.Status(),
 	}
+}
+
+// Chain returns the links a mirror at generation since needs to reach
+// head, a generation this worker published (the one a caller loaded
+// with Snapshot), or false when it no longer holds them all. The last
+// link is read off head itself: Flush returns before head's publish hook
+// has filled the ring, but every earlier hook has returned by the time
+// head is visible, so a mirror one generation behind the newest never
+// misses.
+func (w *Worker) Chain(since uint64, head *refresh.Snapshot) ([]*Link, bool) {
+	last := LinkOf(head, w.Table())
+	if last == nil || since >= head.Gen {
+		return nil, false
+	}
+	links, ok := w.ring.Chain(since, head.Gen-1)
+	if !ok {
+		return nil, false
+	}
+	return append(links, last), true
 }
 
 // Snapshot returns the current published generation (the refresh-level

@@ -58,6 +58,18 @@ type Client struct {
 
 	syncMu sync.Mutex // singleflight for snapshot sync
 
+	// links, set on a replica's mirror only, keeps the links its chain
+	// syncs applied so the replica can re-serve them (nil elsewhere).
+	links *shard.Ring
+
+	// Mirror counters: syncs by kind, bytes they read, and the remote's
+	// own count of chain requests it had to answer in full (last health
+	// probe).
+	chainSyncs  atomic.Uint64
+	fullSyncs   atomic.Uint64
+	mirrorBytes atomic.Uint64
+	chainMisses atomic.Uint64
+
 	// draining mirrors the remote's advertised shutdown state (from the
 	// last health probe) so a replica set stops routing reads to a
 	// member that is about to go away.
@@ -92,6 +104,10 @@ type mirrorState struct {
 	snap   *refresh.Snapshot
 	status shard.WorkerStatus
 	err    error
+	// instance is the server instance snap's generation numbering
+	// belongs to (HeaderSnapshotInstance; empty from servers that do not
+	// send one).
+	instance string
 }
 
 // ClientConfig tunes one shard client. Zero values use the defaults
@@ -283,6 +299,7 @@ func (c *Client) health(ctx context.Context) (Health, error) {
 	if len(h.Map) > 0 {
 		c.remoteMap.Store(&MapResponse{Epoch: h.Epoch, Map: h.Map})
 	}
+	c.chainMisses.Store(h.ChainMisses)
 	return h, nil
 }
 
@@ -313,9 +330,16 @@ func (c *Client) syncSnapshotCtx(parent context.Context) error {
 		time.Since(time.Unix(0, c.lastFail.Load())) < c.pollIvl {
 		return cur.err
 	}
-	var since uint64
-	if cur != nil && cur.snap != nil {
-		since = cur.snap.Gen
+	var (
+		base     *refresh.Snapshot
+		instance string
+		since    uint64
+	)
+	if cur != nil {
+		base, instance = cur.snap, cur.instance
+	}
+	if base != nil {
+		since = base.Gen
 	}
 
 	ctx, cancel := context.WithTimeout(parent, c.snapTO)
@@ -330,6 +354,7 @@ func (c *Client) syncSnapshotCtx(parent context.Context) error {
 	var (
 		snap        *refresh.Snapshot
 		table       []int32
+		links       []*shard.Link
 		notModified bool
 	)
 	err := c.retryer.Do(ctx, c.retryable, func() error {
@@ -341,6 +366,12 @@ func (c *Client) syncSnapshotCtx(parent context.Context) error {
 			return err
 		}
 		req.Header.Set(HeaderProtocol, strconv.Itoa(Version))
+		if since > 0 && instance != "" {
+			// Additive: a server that cannot (or does not) answer with the
+			// publishes since our generation sends the full stream.
+			req.Header.Set("Accept", ContentTypeSnapshotChain+", "+ContentTypeSnapshot)
+			req.Header.Set(HeaderSnapshotInstance, instance)
+		}
 		stampDeadline(req, ctx)
 		resp, err := c.hc.Do(req)
 		if err != nil {
@@ -357,10 +388,27 @@ func (c *Client) syncSnapshotCtx(parent context.Context) error {
 		default:
 			return c.unavailable(fmt.Errorf("snapshot: http %d", resp.StatusCode))
 		}
-		snap, table, err = decodeSnapshot(resp.Body, c.shardID, c.k)
+		body := &countingReader{r: resp.Body}
+		defer func() { c.mirrorBytes.Add(uint64(body.n)) }()
+		got := resp.Header.Get(HeaderSnapshotInstance)
+		if resp.Header.Get("Content-Type") == ContentTypeSnapshotChain {
+			if got != instance {
+				return c.unavailable(fmt.Errorf("snapshot chain from instance %q onto a mirror of instance %q", got, instance))
+			}
+			ch, err := decodeChain(body, c.shardID, c.k, since)
+			if err == nil {
+				snap, table, links, err = foldChain(base, c.tableCopy(), ch)
+			}
+			if err != nil {
+				return c.unavailable(err)
+			}
+			return nil
+		}
+		snap, table, err = decodeSnapshot(body, c.shardID, c.k)
 		if err != nil {
 			return c.unavailable(err)
 		}
+		instance = got
 		return nil
 	})
 	if err != nil {
@@ -371,6 +419,22 @@ func (c *Client) syncSnapshotCtx(parent context.Context) error {
 		return nil
 	}
 	c.adoptTable(table)
+	if links != nil {
+		c.chainSyncs.Add(1)
+	} else {
+		c.fullSyncs.Add(1)
+	}
+	if c.links != nil {
+		// Re-served by a replica: links before the mirror moves, so a
+		// reader of the new mirror finds them.
+		if links == nil {
+			c.links.Reset()
+		}
+		full := shard.FullSize(snap)
+		for _, l := range links {
+			c.links.Push(l, full)
+		}
+	}
 	// Carry the last health probe's status forward (the poller refreshes
 	// it); a successful sync clears any degradation.
 	c.mirMu.Lock()
@@ -383,9 +447,21 @@ func (c *Client) syncSnapshotCtx(parent context.Context) error {
 		st.Status.Gen = snap.Gen
 	}
 	st.C = snap.C
-	c.mirror.Store(&mirrorState{snap: snap, status: st})
+	c.mirror.Store(&mirrorState{snap: snap, status: st, instance: instance})
 	c.mirMu.Unlock()
 	return nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (cr *countingReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	cr.n += int64(n)
+	return n, err
 }
 
 // fail records a degraded mirror (keeping the stale snapshot and last
@@ -396,7 +472,7 @@ func (c *Client) fail(err error) error {
 	cur := c.mirror.Load()
 	ns := &mirrorState{err: err}
 	if cur != nil {
-		ns.snap, ns.status = cur.snap, cur.status
+		ns.snap, ns.status, ns.instance = cur.snap, cur.status, cur.instance
 	}
 	ns.status.Err = err.Error()
 	c.mirror.Store(ns)
@@ -415,7 +491,7 @@ func (c *Client) clearErr() {
 	}
 	st := cur.status
 	st.Err = ""
-	c.mirror.Store(&mirrorState{snap: cur.snap, status: st})
+	c.mirror.Store(&mirrorState{snap: cur.snap, status: st, instance: cur.instance})
 }
 
 // adoptTable reconciles a received full table into the local replica.
@@ -475,7 +551,7 @@ func (c *Client) poll() {
 		cur := c.mirror.Load()
 		ns := &mirrorState{status: h.Status}
 		if cur != nil {
-			ns.snap, ns.err = cur.snap, cur.err
+			ns.snap, ns.err, ns.instance = cur.snap, cur.err, cur.instance
 		}
 		if ns.err != nil {
 			ns.status.Err = ns.err.Error()
@@ -614,24 +690,27 @@ func (c *Client) View() shard.View {
 }
 
 // Flush blocks until the shard has published everything applied before
-// the call, raises the read-your-writes floor to the returned
-// generation and synchronizes the mirror to it.
+// the call, synchronizes the mirror to the returned generation and then
+// raises the read-your-writes floor to it. Raising the floor last keeps
+// concurrent reads on the previous mirror while the sync runs instead of
+// queueing them behind it; if the sync fails, the raised floor makes the
+// next View resynchronize.
 func (c *Client) Flush(ctx context.Context) (uint64, error) {
 	var resp FlushResponse
 	if err := c.doJSON(ctx, PathFlush, FlushRequest{Protocol: Version}, &resp); err != nil {
 		return 0, err
-	}
-	for {
-		cur := c.minGen.Load()
-		if resp.Generation <= cur || c.minGen.CompareAndSwap(cur, resp.Generation) {
-			break
-		}
 	}
 	// Bring the mirror forward now so the caller's next read — the
 	// /v1/edges wait=true contract — sees the flushed generation without
 	// paying a sync on the read path. Bounded by the caller's context:
 	// a client that already hung up shouldn't fund a snapshot transfer.
 	_ = c.syncSnapshotCtx(ctx)
+	for {
+		cur := c.minGen.Load()
+		if resp.Generation <= cur || c.minGen.CompareAndSwap(cur, resp.Generation) {
+			break
+		}
+	}
 	return resp.Generation, nil
 }
 
@@ -666,8 +745,8 @@ func (c *Client) LookupRemote(ctx context.Context, ids []int32, members bool) (L
 // members from read routing before paying a timeout.
 func (c *Client) BreakerOpen() bool { return c.breaker.State() != resilience.Closed }
 
-// ResilienceStats snapshots the client's breaker, retry, and deadline
-// counters for /healthz and /debug/metrics.
+// ResilienceStats snapshots the client's breaker, retry, deadline and
+// mirror counters for /healthz and /debug/metrics.
 func (c *Client) ResilienceStats() resilience.Stats {
 	return resilience.Stats{
 		BreakerState:         c.breaker.State().String(),
@@ -676,6 +755,10 @@ func (c *Client) ResilienceStats() resilience.Stats {
 		Retries:              c.retryer.Retries(),
 		RetryBudgetExhausted: c.budget.Exhausted(),
 		DeadlineExceeded:     c.deadlineExceeded.Load(),
+		MirrorChainSyncs:     c.chainSyncs.Load(),
+		MirrorFullSyncs:      c.fullSyncs.Load(),
+		MirrorBytes:          c.mirrorBytes.Load(),
+		ChainMisses:          c.chainMisses.Load(),
 	}
 }
 

@@ -10,13 +10,19 @@
 //
 //   - ShardServer hosts one shard.Worker behind the protocol (the
 //     `ocad -serve-shard i` role): generation/health probes, snapshot
-//     resolution (JSON header + binary CSR graph), mutation apply with
-//     the ghost-table updates riding the fan-out, a flush barrier, and
-//     direct batch lookup.
+//     resolution, mutation apply with the ghost-table updates riding
+//     the fan-out, a flush barrier, and direct batch lookup. Snapshot
+//     resolution answers a mirror at generation G with the chain of
+//     publishes G+1 … head out of the worker's link ring (JSON, a few
+//     KB per publish) when the mirror accepts it, and with the whole
+//     generation (JSON header + binary CSR graph) otherwise.
 //   - Client is the remote shard.Backend (inside the `ocad
 //     -shard-addrs` router role): it replicates the shard's
 //     translation table, mirrors its published snapshots so reads stay
-//     local and lock-free, raises a read-your-writes floor on flush,
+//     local and lock-free — catching up by folding chains
+//     (shard.Fold, validated link by link) and decoding whole
+//     snapshots only when the server sends one — raises a
+//     read-your-writes floor on flush once the mirror has caught up,
 //     and maps transport failures to shard.ErrUnavailable so a down or
 //     slow shard degrades into explicit partial results — never a
 //     hang, never silent staleness.
@@ -28,6 +34,6 @@
 // Ocad-Shard-Protocol header, the /shard/v1/ path prefix); the
 // normative description lives in docs/PROTOCOL.md, and
 // TestProtocolDocSync keeps that document and the Routes manifest in
-// lockstep. Replication — N mirrors of a shard, read from any — is the
-// ROADMAP's next step on this seam.
+// lockstep. ReplicaServer re-serves a primary's mirror behind the same
+// surface (the `ocad -follow` role), chains included.
 package transport

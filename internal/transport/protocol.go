@@ -29,6 +29,24 @@ const (
 	// JSON header line, then the binary CSR graph (graph.WriteBinary).
 	ContentTypeSnapshot = "application/x-ocad-snapshot"
 
+	// ContentTypeSnapshotChain is the chain transfer's media type: one
+	// JSON SnapshotChain value, the publishes between the client's
+	// generation and the head. Additive: a client asks for it with
+	// Accept on a ?since request, and a server that cannot (or does not)
+	// answer it sends the full snapshot stream instead, labelled as such.
+	ContentTypeSnapshotChain = "application/x-ocad-snapshot-chain"
+
+	// HeaderSnapshotInstance names the server instance whose generation
+	// numbering a snapshot response belongs to: a random token a shard
+	// server draws at start (a replica passes on its primary's). Every
+	// 200 snapshot response carries it; a chain request quotes the one
+	// its mirror came with, and is answered with a chain only when it
+	// matches — generation g of another instance (a restart, a fresh
+	// data directory) may be another graph and cover, and a chain onto
+	// it would be applied to the wrong base. Additive: in a response
+	// header, so the full stream's body is unchanged.
+	HeaderSnapshotInstance = "Ocad-Snapshot-Instance"
+
 	PathHealth   = "/shard/v1/health"
 	PathSnapshot = "/shard/v1/snapshot"
 	PathApply    = "/shard/v1/apply"
@@ -146,6 +164,9 @@ type Health struct {
 	// DeadlineShed counts requests abandoned because the caller's
 	// Ocad-Deadline-Ms budget expired before the server finished.
 	DeadlineShed uint64 `json:"deadline_shed,omitempty"`
+	// ChainMisses counts chain requests this server answered with the
+	// full stream because it no longer held the links they needed.
+	ChainMisses uint64 `json:"chain_misses,omitempty"`
 	// Role distinguishes a writable primary from a read-only replica
 	// mirror; empty (pre-replication builds) means primary. Primary is
 	// the upstream a replica follows, set only when Role is "replica".
@@ -190,6 +211,40 @@ type MetaWire struct {
 	OverlapOwned       int    `json:"overlap_owned"`
 	OwnedMemberships   int64  `json:"owned_memberships"`
 	MaxMembershipOwned int    `json:"max_membership_owned"`
+}
+
+// SnapshotChain is the chain transfer body: the links that take a
+// mirror from generation Since to the last link's generation, in order.
+// The receiver replays them onto its copy of generation Since
+// (shard.Fold) instead of decoding a whole snapshot.
+type SnapshotChain struct {
+	Protocol int         `json:"protocol"`
+	Shard    int         `json:"shard"`
+	Shards   int         `json:"shards"`
+	Since    uint64      `json:"since"`
+	Links    []ChainLink `json:"links"`
+}
+
+// ChainLink is one publish on the wire: the translation-table entries
+// for the locals it grew the graph by (base, new_locals), its edge
+// operations with one entry per distinct edge (add, remove), its cover
+// patch, and the scalar facts and ownership aggregates of the
+// generation it produces. Info's rebuild mode, c and dirty count are
+// the patch's own.
+type ChainLink struct {
+	shard.Batch
+	Patch PatchWire            `json:"patch"`
+	Info  refresh.SnapshotInfo `json:"info"`
+	Meta  MetaWire             `json:"meta"`
+}
+
+// PatchWire is refresh.Patch's cover half: the previous generation's
+// community ids the publish removed, ascending, and the communities it
+// appended (local-id member lists), before the canonical sort.
+type PatchWire struct {
+	Carried bool      `json:"carried,omitempty"`
+	Removed []int32   `json:"removed,omitempty"`
+	Fresh   [][]int32 `json:"fresh,omitempty"`
 }
 
 // MapRequest is the POST /shard/v1/map body: a partition map to

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/refresh"
+	"repro/internal/resilience"
 	"repro/internal/shard"
 )
 
@@ -45,6 +46,7 @@ type ReplicaServer struct {
 	maxBody     int64
 	draining    atomic.Bool
 	shed        atomic.Uint64
+	misses      atomic.Uint64 // chain requests answered with the full stream
 }
 
 // NewReplica connects to a primary shard server, mirrors its snapshot,
@@ -90,6 +92,7 @@ func NewReplica(ctx context.Context, primaryAddr string, cfg ReplicaConfig) (*Re
 	}
 
 	c := newClient(base, h.Shard, h.Shards, cfg.Client)
+	c.links = &shard.Ring{}
 	if _, err := c.handshake(ctx); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("replica: mirroring primary %s: %w", primaryAddr, err)
@@ -114,6 +117,29 @@ func (s *ReplicaServer) Shard() int { return s.shardID }
 
 // Gen returns the mirrored generation (0 before the first sync).
 func (s *ReplicaServer) Gen() uint64 { return s.c.MirrorGen() }
+
+// Sync catches the mirror up with the primary now rather than at the
+// next poll — past the negative cache a failed contact leaves, too: a
+// chain of the publishes since the mirrored generation when the primary
+// can answer one, the whole snapshot otherwise.
+func (s *ReplicaServer) Sync(ctx context.Context) error {
+	s.c.lastFail.Store(0)
+	return s.c.syncSnapshotCtx(ctx)
+}
+
+// Mirror returns the mirrored generation (nil before the first sync) and
+// the translation table replicated beside it.
+func (s *ReplicaServer) Mirror() (*refresh.Snapshot, []int32) {
+	var snap *refresh.Snapshot
+	if m := s.c.mirror.Load(); m != nil {
+		snap = m.snap
+	}
+	return snap, s.c.tableCopy()
+}
+
+// MirrorStats reports the mirror's transport counters: breaker, retries
+// and deadlines, and the syncs by kind with the bytes they read.
+func (s *ReplicaServer) MirrorStats() resilience.Stats { return s.c.ResilienceStats() }
 
 // SetDraining flips the shutdown gate: while draining the replica
 // advertises it in health so replica sets route new reads elsewhere;
@@ -201,6 +227,7 @@ func (s *ReplicaServer) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		TableLen:     s.c.tableLen(),
 		Draining:     s.draining.Load(),
 		DeadlineShed: s.shed.Load(),
+		ChainMisses:  s.misses.Load(),
 		Role:         RoleReplica,
 		Primary:      s.primary,
 		Snapshot:     info,
@@ -209,8 +236,9 @@ func (s *ReplicaServer) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSnapshot re-serves the mirrored generation — the same `?since`
-// resolution a primary offers (serveSnapshot), so a router following
-// this replica (or tooling) needs no special casing. Replication is
+// resolution a primary offers (serveSnapshot), chains included: out of
+// the links its own mirror applied, so a router following this replica
+// (or tooling) needs no special casing. Replication is
 // append-only, so the table copy taken after the mirror load is a
 // superset of the generation's prefix, the same invariant the primary
 // maintains.
@@ -221,7 +249,9 @@ func (s *ReplicaServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusServiceUnavailable, "", "no snapshot mirrored from primary yet")
 		return
 	}
-	serveSnapshot(w, r, s.shardID, s.k, m.snap, s.c.tableCopy)
+	serveSnapshot(w, r, s.shardID, s.k, m.snap, m.instance, s.c.tableCopy, func(since uint64, head *refresh.Snapshot) ([]*shard.Link, bool) {
+		return s.c.links.Chain(since, head.Gen)
+	}, &s.misses)
 }
 
 // handleLookup answers from the mirror — deliberately even while the

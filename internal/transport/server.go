@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"mime"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -46,6 +49,8 @@ type ShardServer struct {
 	cfg      ServerConfig
 	draining atomic.Bool
 	shed     atomic.Uint64
+	misses   atomic.Uint64 // chain requests answered with the full stream
+	instance string        // HeaderSnapshotInstance, drawn at construction
 }
 
 // NewShardServer wraps a shard worker for serving.
@@ -53,7 +58,7 @@ func NewShardServer(w *shard.Worker, cfg ServerConfig) *ShardServer {
 	if cfg.MaxRequestBody <= 0 {
 		cfg.MaxRequestBody = 32 << 20
 	}
-	return &ShardServer{w: w, cfg: cfg}
+	return &ShardServer{w: w, cfg: cfg, instance: strconv.FormatUint(rand.Uint64(), 36)}
 }
 
 // SetDraining flips the shutdown gate: while draining, apply and flush
@@ -98,6 +103,7 @@ func (s *ShardServer) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		TableLen:     len(s.w.Table()),
 		Draining:     s.draining.Load(),
 		DeadlineShed: s.shed.Load(),
+		ChainMisses:  s.misses.Load(),
 		Epoch:        pm.Epoch,
 		Map:          pm.Encode(),
 		Role:         RolePrimary,
@@ -159,22 +165,28 @@ func (s *ShardServer) handleMapPost(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, MapResponse{Epoch: act.Epoch, Map: act.Encode()})
 }
 
-// handleSnapshot streams the published generation (see serveSnapshot).
+// handleSnapshot answers the published generation (see serveSnapshot),
+// as a chain out of the worker's link ring when it holds one.
 func (s *ShardServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	serveSnapshot(w, r, s.w.Shard(), s.w.K(), s.w.Snapshot(), s.w.Table)
+	serveSnapshot(w, r, s.w.Shard(), s.w.K(), s.w.Snapshot(), s.instance, s.w.Table, s.w.Chain, &s.misses)
 }
 
 // serveSnapshot answers GET /shard/v1/snapshot for one loaded
 // generation — shared by the primary (worker snapshot) and replica
-// (mirror) paths: the snapshot stream, or 304 when the client's ?since
-// generation is already current. table is called after the snapshot
-// load and only when a body is sent: the mapping is append-only, so the
-// capture is always a superset of the generation's prefix and the next
-// apply's base reconciliation stays consistent.
-func serveSnapshot(w http.ResponseWriter, r *http.Request, shardID, k int, snap *refresh.Snapshot, table func() []int32) {
+// (mirror) paths: 304 when the client's ?since generation is already
+// current; the chain since → snap when the client accepts the chain
+// media type, its generation since belongs to this instance's
+// numbering, and chain can supply it; the snapshot stream otherwise
+// (counted in misses when a chain was asked for). table is called after
+// the snapshot load and only when a stream is sent: the mapping is
+// append-only, so the capture is always a superset of the generation's
+// prefix and the next apply's base reconciliation stays consistent.
+func serveSnapshot(w http.ResponseWriter, r *http.Request, shardID, k int, snap *refresh.Snapshot, instance string, table func() []int32,
+	chain func(since uint64, head *refresh.Snapshot) ([]*shard.Link, bool), misses *atomic.Uint64) {
+	var since uint64
 	if sinceStr := r.URL.Query().Get("since"); sinceStr != "" {
-		since, err := strconv.ParseUint(sinceStr, 10, 64)
-		if err != nil {
+		var err error
+		if since, err = strconv.ParseUint(sinceStr, 10, 64); err != nil {
 			writeCode(w, http.StatusBadRequest, CodeBadRequest, "invalid since=%q", sinceStr)
 			return
 		}
@@ -183,8 +195,37 @@ func serveSnapshot(w http.ResponseWriter, r *http.Request, shardID, k int, snap 
 			return
 		}
 	}
+	if instance != "" {
+		w.Header().Set(HeaderSnapshotInstance, instance)
+	}
+	if since > 0 && acceptsChain(r) {
+		var links []*shard.Link
+		ok := instance != "" && r.Header.Get(HeaderSnapshotInstance) == instance
+		if ok {
+			links, ok = chain(since, snap)
+		}
+		if ok {
+			w.Header().Set("Content-Type", ContentTypeSnapshotChain)
+			_ = encodeChain(w, shardID, k, since, links)
+			return
+		}
+		misses.Add(1)
+	}
 	w.Header().Set("Content-Type", ContentTypeSnapshot)
 	_ = encodeSnapshot(w, shardID, k, snap, table())
+}
+
+// acceptsChain reports whether the request's Accept header lists the
+// chain media type.
+func acceptsChain(r *http.Request) bool {
+	for _, v := range r.Header.Values("Accept") {
+		for _, part := range strings.Split(v, ",") {
+			if mt, _, err := mime.ParseMediaType(strings.TrimSpace(part)); err == nil && mt == ContentTypeSnapshotChain {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (s *ShardServer) decode(w http.ResponseWriter, r *http.Request, v any) bool {
