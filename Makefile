@@ -43,7 +43,9 @@ fmt-check:
 
 # One iteration of every benchmark — checks they still compile and run,
 # and emits the raw output for trend tooling (BenchmarkMirrorSync's
-# full/chain legs are the mirror-resync budget line, with wire bytes). Redirect instead of tee so
+# full/chain legs are the mirror-resync budget line, with wire bytes;
+# BenchmarkDeltaApply and BenchmarkPublishStream the per-publish graph
+# copy and a K=1 publish, with seeds/publish). Redirect instead of tee so
 # a failing benchmark fails the target (sh has no pipefail).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > BENCH_smoke.json; \
@@ -67,6 +69,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAuto$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionMap$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotChain$$' -fuzztime $(FUZZTIME) ./internal/transport
@@ -129,9 +132,11 @@ test-shard-compose:
 # The packages whose results must not depend on the core count —
 # recovery reads covers back from the log precisely because OCA's vary
 # with GOMAXPROCS — at 1, 3 and 8: what a recovered directory serves,
-# what a publish logs, what the WAL parses.
+# what a publish logs, what the WAL parses, the seeding rules of a
+# scoped OCA run (whose batch width is the worker count), and the
+# graph kernels a publish runs.
 test-core-count:
-	$(GO) test -count=1 -cpu 1,3,8 ./internal/persist ./internal/refresh ./internal/wal
+	$(GO) test -count=1 -cpu 1,3,8 ./internal/core ./internal/graph ./internal/persist ./internal/refresh ./internal/wal
 
 # Snapshot mirrors fed chains of publishes, repeated under the race
 # detector: the chain-vs-full equivalence property (its -short size),

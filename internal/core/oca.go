@@ -72,7 +72,12 @@ type Options struct {
 	// Restrict, when non-nil, scopes the run to a dirty region: seeds
 	// are drawn only from these nodes, the coverage halting criterion
 	// measures coverage of this set instead of the whole graph, and the
-	// default MaxSeeds budget scales with the region, not with n. The
+	// default MaxSeeds budget scales with the region, not with n. Under
+	// SeedUncovered a scoped run seeds each uncovered region node at
+	// most once, with no fallback to uniform draws, and ends when no
+	// untried uncovered node is left (if coverage, patience or MaxSeeds
+	// has not stopped it first) — otherwise a node still uncovered
+	// after its own climb is re-drawn until patience runs out. The
 	// local searches themselves still roam the full graph — restriction
 	// is about where exploration starts, not where communities may grow.
 	// Nodes must lie in [0, n); duplicates are ignored. An empty non-nil
@@ -92,6 +97,8 @@ const (
 	// SeedUncovered draws uniformly from nodes not yet in any community,
 	// falling back to uniform over all nodes (the default: "randomly
 	// distributed initial seeds" with a bias toward unexplored regions).
+	// A Restrict run draws each uncovered region node at most once and
+	// has no fallback (see Options.Restrict).
 	SeedUncovered SeedStrategy = iota
 	// SeedUniform draws uniformly from all nodes regardless of coverage.
 	SeedUniform
@@ -102,7 +109,9 @@ const (
 
 // Halting is the stopping policy across seeds. The paper deliberately
 // leaves this open ("outside the scope of this paper"); Run stops as
-// soon as any enabled criterion fires.
+// soon as any enabled criterion fires. A Restrict run under
+// SeedUncovered also stops once every uncovered region node has been
+// tried as a seed, whichever criterion would have fired later.
 type Halting struct {
 	// MaxSeeds bounds the number of seeds tried. Default 4·n.
 	MaxSeeds int
@@ -248,6 +257,9 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 			batch = rem
 		}
 		seeds := driver.drawSeeds(batch)
+		if len(seeds) == 0 {
+			break // scoped run: every uncovered domain node was tried
+		}
 		outcomes := make([]outcome, len(seeds))
 		var wg sync.WaitGroup
 		for i, seed := range seeds {
@@ -442,20 +454,24 @@ func (d *seedDriver) drawSeeds(k int) []int32 {
 		}
 		return seeds
 	}
-	// SeedUncovered: without replacement from the uncovered pool while
-	// it lasts, then uniformly from the domain.
+	// SeedUncovered: without replacement from the uncovered pool. A
+	// full run draws without replacement within the batch only, and
+	// falls back to uniform draws once the pool is empty; a scoped run
+	// never returns a drawn node to the pool and has no fallback, so it
+	// seeds each dirty node at most once and may return fewer than k
+	// seeds — none once every uncovered domain node has been tried.
 	seeds := make([]int32, 0, k)
-	// Reservoir of drawn uncovered seeds to restore afterwards (drawing
-	// without replacement within the batch, but not marking covered).
-	drawn := make([]int32, 0, k)
 	for len(seeds) < k && len(d.uncovered) > 0 {
 		i := d.rng.Intn(len(d.uncovered))
 		v := d.uncovered[i]
 		d.removeUncovered(v)
-		drawn = append(drawn, v)
 		seeds = append(seeds, v)
 	}
-	for _, v := range drawn {
+	if d.domain != nil {
+		return seeds
+	}
+	// Restore the batch's draws: they stay seedable until covered.
+	for _, v := range seeds {
 		d.pos[v] = int32(len(d.uncovered))
 		d.uncovered = append(d.uncovered, v)
 	}

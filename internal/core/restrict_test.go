@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cover"
+	"repro/internal/graph"
+	"repro/internal/lfr"
 )
 
 // TestRestrictScopesSeeding: a run restricted to one clique of a
@@ -103,6 +106,118 @@ func TestFreshExcludesWarm(t *testing.T) {
 		}
 		if !hasB {
 			t.Fatalf("fresh community %v matches neither clique", c)
+		}
+	}
+}
+
+// restrictFixture is a 400-node LFR graph and a 60-node region of it,
+// listed with duplicates.
+func restrictFixture(t *testing.T) (*graph.Graph, []int32) {
+	t.Helper()
+	bench, err := lfr.Generate(lfr.Params{
+		N: 400, AvgDeg: 12, MaxDeg: 30, Mu: 0.2,
+		MinCom: 15, MaxCom: 50, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var region []int32
+	for len(region) < 80 {
+		region = append(region, int32(rng.Intn(60))*5)
+	}
+	return bench.Graph, region
+}
+
+func distinct(vs []int32) map[int32]bool {
+	set := make(map[int32]bool, len(vs))
+	for _, v := range vs {
+		set[v] = true
+	}
+	return set
+}
+
+// TestRestrictSeedsEachNodeOnce: a scoped SeedUncovered run draws each
+// uncovered region node at most once and stops when none is left
+// untried. With every community dropped (MinCommunitySize past n) and
+// patience and MaxSeeds out of reach, nothing is ever covered, so the
+// run must try exactly the region's distinct nodes — once each — under
+// any worker count.
+func TestRestrictSeedsEachNodeOnce(t *testing.T) {
+	g, region := restrictFixture(t)
+	want := len(distinct(region))
+	for _, workers := range []int{0, 1, 3, 8} {
+		res, err := Run(g, Options{
+			Seed: 11, C: 0.2, Workers: workers, Restrict: region,
+			MinCommunitySize: g.N() + 1,
+			Halting:          Halting{MaxSeeds: 1000, Patience: 1000},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SeedsTried != want {
+			t.Fatalf("workers=%d: tried %d seeds over %d distinct region nodes, want each once", workers, res.SeedsTried, want)
+		}
+	}
+}
+
+// TestRestrictSeedsOnlyUncoveredOnce: with warm communities covering
+// part of the region and default halting, a scoped run tries at most
+// the region's distinct nodes the warm cover leaves uncovered.
+func TestRestrictSeedsOnlyUncoveredOnce(t *testing.T) {
+	g, region := restrictFixture(t)
+	full, err := Run(g, Options{Seed: 2, C: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := full.Cover.Communities[:len(full.Cover.Communities)/2]
+	covered := map[int32]bool{}
+	for _, c := range warm {
+		for _, v := range c {
+			covered[v] = true
+		}
+	}
+	uncovered := 0
+	for v := range distinct(region) {
+		if !covered[v] {
+			uncovered++
+		}
+	}
+	res, err := Run(g, Options{Seed: 7, C: 0.2, Warm: warm, Restrict: region})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SeedsTried > uncovered {
+		t.Fatalf("tried %d seeds, but only %d region nodes start uncovered", res.SeedsTried, uncovered)
+	}
+}
+
+// TestScopedDriverNeverRedraws: the scoped driver hands out each
+// domain node at most once across batches, then nothing; the full
+// driver keeps drawing full batches.
+func TestScopedDriverNeverRedraws(t *testing.T) {
+	g, region := restrictFixture(t)
+	d := newSeedDriver(g, SeedUncovered, rand.New(rand.NewSource(1)), region)
+	seen := map[int32]bool{}
+	for batch := 0; ; batch++ {
+		seeds := d.drawSeeds(7)
+		if len(seeds) == 0 {
+			break
+		}
+		for _, v := range seeds {
+			if seen[v] {
+				t.Fatalf("batch %d: node %d drawn twice", batch, v)
+			}
+			seen[v] = true
+		}
+	}
+	if len(seen) != len(distinct(region)) {
+		t.Fatalf("drew %d distinct nodes of a %d-node region", len(seen), len(distinct(region)))
+	}
+	full := newSeedDriver(g, SeedUncovered, rand.New(rand.NewSource(1)), nil)
+	for i := 0; i < 2*g.N()/7; i++ {
+		if got := len(full.drawSeeds(7)); got != 7 {
+			t.Fatalf("full driver batch %d drew %d seeds, want 7", i, got)
 		}
 	}
 }

@@ -175,20 +175,27 @@ func (cv *Cover) Stats(n int) OverlapStats {
 		total += len(c)
 	}
 	st.MeanSize = float64(total) / float64(cv.Len())
-	counts := make(map[int32]int)
+	st.Memberships = int64(total)
+	// Tally memberships per node in one flat pass; a node's count
+	// crossing 1 or 2 marks it covered or overlapping. Members at or
+	// past n (a cover over a larger node range) grow the tally.
+	counts := make([]int32, n)
 	for _, c := range cv.Communities {
 		for _, v := range c {
-			counts[v]++
-		}
-	}
-	st.CoveredNodes = len(counts)
-	for _, k := range counts {
-		st.Memberships += int64(k)
-		if k >= 2 {
-			st.OverlapNodes++
-		}
-		if k > st.MaxMembership {
-			st.MaxMembership = k
+			if int(v) >= len(counts) {
+				counts = append(counts, make([]int32, int(v)+1-len(counts))...)
+			}
+			k := counts[v] + 1
+			counts[v] = k
+			switch k {
+			case 1:
+				st.CoveredNodes++
+			case 2:
+				st.OverlapNodes++
+			}
+			if int(k) > st.MaxMembership {
+				st.MaxMembership = int(k)
+			}
 		}
 	}
 	if st.CoveredNodes > 0 {

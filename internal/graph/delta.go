@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -160,68 +162,99 @@ func (d *Delta) Apply() *Graph {
 		return &Graph{offsets: offsets, adj: d.g.adj}
 	}
 
-	// Per-node change lists. Because ops are sorted by (u, v) and u < v,
-	// each node's adds/dels come out ascending without a per-node sort:
-	// entries with the node on the v side (partners < node) all precede
-	// entries with it on the u side (partners > node).
-	adds := make(map[int32][]int32)
-	dels := make(map[int32][]int32)
-	changed := false
+	// One entry per endpoint of every effective change, sorted by
+	// (node, partner) so each node's changes form one ascending run.
+	var chs []endpointChange
 	for _, o := range d.resolved() {
 		// Edges naming grown nodes cannot pre-exist in the base graph
 		// (and HasEdge would index past its offsets table).
 		exists := int(o.v) < base && d.g.HasEdge(o.u, o.v)
-		switch {
-		case o.del && exists:
-			dels[o.u] = append(dels[o.u], o.v)
-			dels[o.v] = append(dels[o.v], o.u)
-			changed = true
-		case !o.del && !exists:
-			adds[o.u] = append(adds[o.u], o.v)
-			adds[o.v] = append(adds[o.v], o.u)
-			changed = true
+		if o.del == exists {
+			chs = append(chs, endpointChange{o.u, o.v, o.del}, endpointChange{o.v, o.u, o.del})
 		}
 	}
-	if !changed && n == base {
+	if len(chs) == 0 && n == base {
 		return d.g
 	}
+	slices.SortFunc(chs, func(a, b endpointChange) int {
+		if c := cmp.Compare(a.node, b.node); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.nbr, b.nbr)
+	})
 
+	// Offsets: the base table (grown nodes start empty at its end),
+	// shifted past each changed node by the running net degree change.
 	offsets := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		var deg int64
-		if v < base {
-			deg = int64(d.g.Degree(int32(v)))
-		}
-		deg += int64(len(adds[int32(v)]) - len(dels[int32(v)]))
-		offsets[v+1] = offsets[v] + deg
+	copy(offsets, d.g.offsets)
+	for v := base + 1; v <= n; v++ {
+		offsets[v] = d.g.offsets[base]
 	}
-	adj := make([]int32, offsets[n])
-	for v := int32(0); int(v) < n; v++ {
-		out := adj[offsets[v]:offsets[v]:offsets[v+1]]
-		var old []int32
-		if int(v) < base {
-			old = d.g.Neighbors(v)
-		}
-		add, del := adds[v], dels[v]
-		i, j := 0, 0 // cursors into old and add
-		for i < len(old) || j < len(add) {
-			// dels is a subset of old, consumed in step with old.
-			if i < len(old) && len(del) > 0 && old[i] == del[0] {
-				i++
-				del = del[1:]
-				continue
-			}
-			if j >= len(add) || (i < len(old) && old[i] < add[j]) {
-				out = append(out, old[i])
-				i++
+	var shift int64
+	lo := 1 // first offsets entry not yet shifted
+	for i := 0; i < len(chs); {
+		c := chs[i].node
+		shiftRange(offsets[lo:c+1], shift)
+		for ; i < len(chs) && chs[i].node == c; i++ {
+			if chs[i].del {
+				shift--
 			} else {
-				out = append(out, add[j])
-				j++
+				shift++
 			}
 		}
-		if int64(len(out)) != offsets[v+1]-offsets[v] {
-			panic(fmt.Sprintf("graph: delta merge for node %d produced %d neighbors, want %d", v, len(out), offsets[v+1]-offsets[v]))
-		}
+		lo = int(c) + 1
 	}
+	shiftRange(offsets[lo:], shift)
+
+	// Adjacency: each run of untouched nodes moves with one copy; only
+	// the changed nodes' lists are merged.
+	adj := make([]int32, offsets[n])
+	oldOff := func(v int) int64 { return d.g.offsets[min(v, base)] }
+	next := 0 // first node not yet written
+	for i := 0; i < len(chs); {
+		c := chs[i].node
+		copy(adj[offsets[next]:offsets[c]], d.g.adj[oldOff(next):oldOff(int(c))])
+		var old []int32
+		if int(c) < base {
+			old = d.g.Neighbors(c)
+		}
+		out := adj[offsets[c]:offsets[c]:offsets[c+1]]
+		k := 0 // cursor into old; removed partners are in old, added ones are not
+		for ; i < len(chs) && chs[i].node == c; i++ {
+			ch := chs[i]
+			for k < len(old) && old[k] < ch.nbr {
+				out = append(out, old[k])
+				k++
+			}
+			if ch.del {
+				k++
+			} else {
+				out = append(out, ch.nbr)
+			}
+		}
+		out = append(out, old[k:]...)
+		if int64(len(out)) != offsets[c+1]-offsets[c] {
+			panic(fmt.Sprintf("graph: delta merge for node %d produced %d neighbors, want %d", c, len(out), offsets[c+1]-offsets[c]))
+		}
+		next = int(c) + 1
+	}
+	copy(adj[offsets[next]:], d.g.adj[oldOff(next):])
 	return &Graph{offsets: offsets, adj: adj}
+}
+
+// endpointChange is one side of an edge change Apply makes: nbr joins
+// (or, with del, leaves) node's adjacency list.
+type endpointChange struct {
+	node, nbr int32
+	del       bool
+}
+
+// shiftRange adds shift to every offset in s.
+func shiftRange(s []int64, shift int64) {
+	if shift == 0 {
+		return
+	}
+	for i := range s {
+		s[i] += shift
+	}
 }

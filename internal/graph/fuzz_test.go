@@ -132,3 +132,88 @@ func FuzzReadBinary(f *testing.F) {
 		checkParsedGraph(t, g)
 	})
 }
+
+// FuzzDeltaApply checks Delta.Apply against a Builder over the same
+// edge set. The input is a program: data[0] picks the base node count,
+// data[1] the number of base edges, then one byte pair per base edge,
+// then (kind, u, v) triples — add, remove, or GrowTo — that may repeat
+// edges, re-add existing ones, remove absent ones and name nodes past
+// the bound (which the Delta must reject). An empty delta, and one
+// whose net effect changes nothing, must return the base graph itself.
+func FuzzDeltaApply(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 2, 0, 1, 1, 2})
+	f.Add([]byte{6, 3, 0, 1, 1, 2, 2, 3, 0, 0, 1, 2, 0, 1, 1, 0, 1})       // remove, re-add
+	f.Add([]byte{4, 1, 0, 1, 0, 2, 3, 0, 2, 3, 2, 2, 3, 2, 0, 1})          // add, remove, absent remove
+	f.Add([]byte{3, 1, 0, 1, 3, 4, 0, 0, 2, 6, 3, 2, 0, 0, 1, 0, 9})       // grow, edges onto grown nodes
+	f.Add([]byte{8, 4, 0, 7, 1, 6, 2, 5, 3, 4, 0, 7, 0, 0, 0, 7, 2, 7, 0}) // out-of-range, duplicates
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := int(data[0] % 48)
+		nBase := int(data[1])
+		data = data[2:]
+		edges := map[[2]int32]bool{}
+		norm := func(u, v int32) [2]int32 {
+			if u > v {
+				u, v = v, u
+			}
+			return [2]int32{u, v}
+		}
+		b := NewBuilder(n)
+		for ; n > 0 && nBase > 0 && len(data) >= 2; nBase-- {
+			u, v := int32(int(data[0])%n), int32(int(data[1])%n)
+			data = data[2:]
+			b.AddEdge(u, v)
+			if u != v {
+				edges[norm(u, v)] = true
+			}
+		}
+		base := b.Build()
+		baseEdges := len(edges)
+		d := NewDelta(base)
+		for ; len(data) >= 3; data = data[3:] {
+			kind, u, v := data[0]%5, int32(data[1]%64), int32(data[2]%64)
+			if kind == 4 {
+				d.GrowTo(d.N() + int(u%8))
+				continue
+			}
+			valid := u != v && int(u) < d.N() && int(v) < d.N()
+			var err error
+			if kind == 3 {
+				err = d.RemoveEdge(u, v)
+			} else {
+				err = d.AddEdge(u, v)
+			}
+			if (err == nil) != valid {
+				t.Fatalf("op %d (%d, %d) on %d nodes: err=%v, valid=%v", kind, u, v, d.N(), err, valid)
+			}
+			switch {
+			case !valid:
+			case kind == 3:
+				delete(edges, norm(u, v))
+			default:
+				edges[norm(u, v)] = true
+			}
+		}
+		got := d.Apply()
+		validateCSR(t, got)
+		want := NewBuilder(d.N())
+		for e := range edges {
+			want.AddEdge(e[0], e[1])
+		}
+		if !graphsEqual(got, want.Build()) {
+			t.Fatal("Apply differs from a Builder over the same edge set")
+		}
+		// The net effect is nothing when no edge outside the base set
+		// survives and none of the base set is gone.
+		unchanged := d.N() == n && len(edges) == baseEdges
+		for e := range edges {
+			unchanged = unchanged && int(e[1]) < n && base.HasEdge(e[0], e[1])
+		}
+		if unchanged != (got == base) {
+			t.Fatalf("net no-op %v, but Apply returned the base graph: %v", unchanged, got == base)
+		}
+	})
+}

@@ -17,7 +17,10 @@
 //     core.Options.Restrict), fresh discoveries folded into the
 //     carried cover by postprocess.MergeInto, index.Patch and
 //     cover.PatchStats instead of rebuilds — cost proportional to the
-//     batch, not the graph;
+//     batch, not the graph. The scoped run seeds each dirty node the
+//     carried communities leave uncovered at most once, and stops when
+//     none is left untried (or earlier, on coverage or patience), so
+//     its seed count is bounded by the region it was handed;
 //   - ModeFastpath — the batch touched no community and added no
 //     structure: the new graph publishes with the cover carried
 //     pointer-identical and no OCA at all.

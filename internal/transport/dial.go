@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -98,7 +99,7 @@ func DialBackends(ctx context.Context, addrs []string, opt Options) ([]shard.Bac
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			healths[i], errs[i] = clients[i].handshake(ctx)
+			healths[i], errs[i] = clients[i].handshake(ctx, addr, false)
 		}(i)
 		if opt.Replicas == nil {
 			continue
@@ -111,7 +112,7 @@ func DialBackends(ctx context.Context, addrs []string, opt Options) ([]shard.Bac
 			wg.Add(1)
 			go func(i, j int) {
 				defer wg.Done()
-				rhealths[i][j], rerrs[i][j] = rclients[i][j].handshake(ctx)
+				rhealths[i][j], rerrs[i][j] = rclients[i][j].handshake(ctx, raddr, true)
 			}(i, j)
 		}
 	}
@@ -129,27 +130,13 @@ func DialBackends(ctx context.Context, addrs []string, opt Options) ([]shard.Bac
 	for i, err := range errs {
 		if err != nil {
 			closeAll()
-			return nil, DeployInfo{}, fmt.Errorf("transport: shard %d at %s: %w", i, addrs[i], err)
+			return nil, DeployInfo{}, dialErr(err, "transport: shard %d at %s: %w", i, addrs[i], err)
 		}
 	}
-	// The K servers must describe one deployment: same partition width,
-	// same global dimensions, each hosting the shard index its position
-	// in addrs claims — and each actually writable.
+	// The K servers must describe one deployment: same partition width
+	// and global dimensions (each one's identity and role were checked
+	// by its handshake).
 	for i, h := range healths {
-		if h.Protocol != Version {
-			closeAll()
-			return nil, DeployInfo{}, fmt.Errorf("transport: shard %d speaks protocol %d, this router speaks %d", i, h.Protocol, Version)
-		}
-		if h.Shard != i || h.Shards != k {
-			closeAll()
-			return nil, DeployInfo{}, fmt.Errorf("transport: %s hosts shard %d of %d, want shard %d of %d",
-				addrs[i], h.Shard, h.Shards, i, k)
-		}
-		if h.Role == RoleReplica {
-			closeAll()
-			return nil, DeployInfo{}, fmt.Errorf("transport: %s is a read-only replica (of %s); shard addresses must name primaries",
-				addrs[i], h.Primary)
-		}
 		if h.GlobalNodes != healths[0].GlobalNodes || h.MaxNodes != healths[0].MaxNodes {
 			closeAll()
 			return nil, DeployInfo{}, fmt.Errorf("transport: shard %d disagrees on deployment dimensions (%d/%d nodes vs %d/%d)",
@@ -181,23 +168,9 @@ func DialBackends(ctx context.Context, addrs []string, opt Options) ([]shard.Bac
 		for j, rerr := range rerrs[i] {
 			if rerr != nil {
 				closeAll()
-				return nil, DeployInfo{}, fmt.Errorf("transport: shard %d replica %s: %w", i, opt.Replicas[i][j], rerr)
+				return nil, DeployInfo{}, dialErr(rerr, "transport: shard %d replica %s: %w", i, opt.Replicas[i][j], rerr)
 			}
-			rh := rhealths[i][j]
-			switch {
-			case rh.Protocol != Version:
-				closeAll()
-				return nil, DeployInfo{}, fmt.Errorf("transport: shard %d replica %s speaks protocol %d, this router speaks %d",
-					i, opt.Replicas[i][j], rh.Protocol, Version)
-			case rh.Role != RoleReplica:
-				closeAll()
-				return nil, DeployInfo{}, fmt.Errorf("transport: %s is not a replica; only `ocad -follow` servers may be listed as replicas",
-					opt.Replicas[i][j])
-			case rh.Shard != i || rh.Shards != k:
-				closeAll()
-				return nil, DeployInfo{}, fmt.Errorf("transport: %s mirrors shard %d of %d, want shard %d of %d",
-					opt.Replicas[i][j], rh.Shard, rh.Shards, i, k)
-			case rh.GlobalNodes != healths[0].GlobalNodes || rh.MaxNodes != healths[0].MaxNodes:
+			if rh := rhealths[i][j]; rh.GlobalNodes != healths[0].GlobalNodes || rh.MaxNodes != healths[0].MaxNodes {
 				closeAll()
 				return nil, DeployInfo{}, fmt.Errorf("transport: shard %d replica %s disagrees on deployment dimensions",
 					i, opt.Replicas[i][j])
@@ -238,14 +211,20 @@ func DialBackends(ctx context.Context, addrs []string, opt Options) ([]shard.Bac
 }
 
 // handshake probes the shard until it answers (covers may still be
-// building when the router starts) and mirrors its first snapshot.
-func (c *Client) handshake(ctx context.Context) (Health, error) {
+// building when the router starts) and mirrors its first snapshot. A
+// server that answers as something other than shard c.shardID of c.k in
+// the wanted role (a primary, or with replica a `-follow` mirror) fails
+// at once: no retry can change what it hosts.
+func (c *Client) handshake(ctx context.Context, addr string, replica bool) (Health, error) {
 	var lastErr error
 	for {
 		hctx, cancel := context.WithTimeout(ctx, c.reqTO)
 		h, err := c.health(hctx)
 		cancel()
 		if err == nil {
+			if err := c.misaddressed(h, addr, replica); err != nil {
+				return Health{}, err
+			}
 			if err = c.syncSnapshotCtx(ctx); err == nil {
 				c.draining.Store(h.Draining)
 				return h, nil
@@ -261,6 +240,48 @@ func (c *Client) handshake(ctx context.Context) (Health, error) {
 		case <-time.After(250 * time.Millisecond):
 		}
 	}
+}
+
+// misaddressedError is a handshake's verdict that the server at an
+// address is not the one the router was told it is. Dial reports it
+// as is, without the per-address prefix of its other handshake errors.
+type misaddressedError struct{ error }
+
+// misaddressed checks h against what addr must be — protocol Version,
+// shard c.shardID of c.k, and a primary or (with replica) a replica —
+// and says in Dial's words what is wrong, or returns nil.
+func (c *Client) misaddressed(h Health, addr string, replica bool) error {
+	var err error
+	switch {
+	case replica && h.Protocol != Version:
+		err = fmt.Errorf("transport: shard %d replica %s speaks protocol %d, this router speaks %d", c.shardID, addr, h.Protocol, Version)
+	case replica && h.Role != RoleReplica:
+		err = fmt.Errorf("transport: %s is not a replica; only `ocad -follow` servers may be listed as replicas", addr)
+	case replica && (h.Shard != c.shardID || h.Shards != c.k):
+		err = fmt.Errorf("transport: %s mirrors shard %d of %d, want shard %d of %d", addr, h.Shard, h.Shards, c.shardID, c.k)
+	case replica:
+		return nil
+	case h.Protocol != Version:
+		err = fmt.Errorf("transport: shard %d speaks protocol %d, this router speaks %d", c.shardID, h.Protocol, Version)
+	case h.Shard != c.shardID || h.Shards != c.k:
+		err = fmt.Errorf("transport: %s hosts shard %d of %d, want shard %d of %d", addr, h.Shard, h.Shards, c.shardID, c.k)
+	case h.Role == RoleReplica:
+		err = fmt.Errorf("transport: %s is a read-only replica (of %s); shard addresses must name primaries", addr, h.Primary)
+	}
+	if err != nil {
+		return misaddressedError{err}
+	}
+	return nil
+}
+
+// dialErr returns a handshake's misaddressed verdict as is, and wraps
+// any other handshake error with format and args.
+func dialErr(err error, format string, args ...any) error {
+	var mis misaddressedError
+	if errors.As(err, &mis) {
+		return mis.error
+	}
+	return fmt.Errorf(format, args...)
 }
 
 // normalizeAddr accepts host:port or a full URL.

@@ -93,7 +93,7 @@ func NewReplica(ctx context.Context, primaryAddr string, cfg ReplicaConfig) (*Re
 
 	c := newClient(base, h.Shard, h.Shards, cfg.Client)
 	c.links = &shard.Ring{}
-	if _, err := c.handshake(ctx); err != nil {
+	if _, err := c.handshake(ctx, primaryAddr, false); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("replica: mirroring primary %s: %w", primaryAddr, err)
 	}

@@ -412,14 +412,30 @@ func TestDialValidation(t *testing.T) {
 	g := twoCliques(t)
 	cl, _ := startCluster(t, g, 2, 0, testOCA())
 
+	// The default ConnectTimeout (60 s): a server that answers as
+	// another shard must fail the dial at once, not after retrying.
 	opt := testDialOptions()
-	opt.ConnectTimeout = 2 * time.Second
-	// Swapped addresses: addr 0 hosts shard 1.
-	if _, err := Dial(context.Background(), []string{cl.addrs[1], cl.addrs[0]}, opt); err == nil {
-		t.Fatal("Dial accepted swapped shard addresses")
-	}
-	// Wrong K: two copies of shard 0's address.
-	if _, err := Dial(context.Background(), []string{cl.addrs[0], cl.addrs[0]}, opt); err == nil {
-		t.Fatal("Dial accepted a duplicate shard address")
+	opt.ConnectTimeout = 0
+	for _, tc := range []struct {
+		name  string
+		addrs []string
+		want  string
+	}{
+		// Swapped addresses: addr 0 hosts shard 1.
+		{"swapped", []string{cl.addrs[1], cl.addrs[0]}, fmt.Sprintf("transport: %s hosts shard 1 of 2, want shard 0 of 2", cl.addrs[1])},
+		// Two copies of shard 0's address: addr 1 hosts shard 0.
+		{"duplicated", []string{cl.addrs[0], cl.addrs[0]}, fmt.Sprintf("transport: %s hosts shard 0 of 2, want shard 1 of 2", cl.addrs[0])},
+	} {
+		start := time.Now()
+		_, err := Dial(context.Background(), tc.addrs, opt)
+		if err == nil {
+			t.Fatalf("%s: Dial accepted misaddressed shards", tc.name)
+		}
+		if err.Error() != tc.want {
+			t.Fatalf("%s: Dial error %q, want %q", tc.name, err, tc.want)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("%s: Dial took %v to refuse misaddressed shards, want < 1s", tc.name, d)
+		}
 	}
 }
