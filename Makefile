@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/core/... ./internal/search/... ./internal/graph/... ./in
 COVER_PKGS := repro/internal/spectral repro/internal/server repro/internal/refresh repro/internal/shard repro/internal/index repro/internal/postprocess repro/internal/transport repro/internal/wal repro/internal/persist repro/internal/resilience repro/internal/faultinject
 COVER_MIN := 75
 
-.PHONY: build test test-slow race vet fmt-check bench-smoke bench-shard bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke test-shard-compose test-core-count test-mirror run-cluster check clean
+.PHONY: build test test-slow race vet fmt-check bench-smoke bench-shard bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke test-shard-compose test-core-count test-mirror test-restart run-cluster check clean
 
 build:
 	$(GO) build ./...
@@ -146,6 +146,16 @@ test-core-count:
 MIRROR_TESTS := 'TestMirrorChainEqualsFull|TestSnapshotWithoutAcceptIsFullStream|TestMirrorReadsFullStreamFromServerIgnoringAccept|TestChainAfterFlushNeverMisses|TestChainMissFallsBackAndCounts|TestHostileChainRejected|TestWorkerChainAfterFlush|TestRing|TestFoldStepIsAtomic'
 test-mirror:
 	$(GO) test -race -short -count=20 -run $(MIRROR_TESTS) ./internal/persist ./internal/transport ./internal/shard
+
+# The restart suites, repeated: warm boots of real ocad processes (K=1
+# and -serve-shard) over directories a SIGKILL left, the parent-commit
+# fallbacks, and the crash/restart round trips of both roles down to the
+# recovery property — a durable boot must come back the same on every
+# run, not most.
+test-restart:
+	$(GO) test -count=5 -run 'TestWarmRestart|TestParentCommitDirectoryFallsBack|TestEmptyDataDirStillNeedsInput|TestBootNodes' ./cmd/ocad
+	$(GO) test -count=5 -run 'TestShardCrashRestartRoundTrip|TestSingleCrashRestartRoundTrip|TestFoldEqualsLive|TestBootSealMakesOnlyDerivedStateDurable|TestParentCommitWALRecoversThroughTheEngine' ./internal/persist
+	$(GO) test -count=5 -run 'TestServerPersistRestartRoundTrip' ./internal/server
 
 # Local dev convenience: spawn SHARDS shard-server processes plus a
 # router on this machine (generating a demo LFR graph when GRAPH is

@@ -70,15 +70,13 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/persist"
-	"repro/internal/refresh"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
 func main() {
@@ -153,10 +151,8 @@ func run(args []string) error {
 		IncrementalThreshold: *incrementalThreshold,
 		SearchCacheSize:      *searchCacheSize,
 		SearchCacheRho:       *searchCacheRho,
+		OCA:                  core.Options{Seed: *seed, C: *c, Workers: *workers},
 	}
-	cfg.OCA.Seed = *seed
-	cfg.OCA.C = *c
-	cfg.OCA.Workers = *workers
 
 	if *serveShard >= 0 && *shardAddrs != "" {
 		return errors.New("-serve-shard and -shard-addrs are different roles; pick one")
@@ -201,7 +197,8 @@ func run(args []string) error {
 		fs.Usage()
 		return errMissingIn
 	}
-	pf := persistFlags{dir: *dataDir, fsync: *walFsync, segmentEvery: *segmentEvery, retain: *retainSegments}
+	opts := persist.Options{Dir: *dataDir, FsyncEveryBatch: *walFsync, SegmentEvery: *segmentEvery, Retain: *retainSegments}
+	nodes := func(seg *persist.Segment) (*graph.Graph, int, int, error) { return bootNodes(*in, *maxNodes, seg) }
 	if *serveShard >= 0 {
 		if *serveShard >= *shards {
 			return fmt.Errorf("-serve-shard %d out of range for -shards %d", *serveShard, *shards)
@@ -209,8 +206,7 @@ func run(args []string) error {
 		if *coverPath != "" || *lazy {
 			return errors.New("-cover and -lazy are not supported in the shard-server role")
 		}
-		return runShardServer(cfg, *in, *serveShard, *shards, *maxNodes, pf,
-			*addr, *addrFile, *shutdownTimeout, inj)
+		return runShardServer(cfg, opts, nodes, *serveShard, *shards, *addr, *addrFile, *shutdownTimeout, inj)
 	}
 	if *shards > 1 && *coverPath != "" {
 		return errors.New("-cover is not supported with -shards > 1 (precomputed covers cannot be partitioned)")
@@ -223,60 +219,27 @@ func run(args []string) error {
 	// snapshot supersedes the -in graph (which only bootstraps an empty
 	// directory and is not opened otherwise), and every accepted mutation
 	// is WAL-logged from here on.
-	var (
-		g         *graph.Graph
-		recovered *refresh.Snapshot
-		store     *persist.Store
-		st        = &persist.State{} // the zero State is a cold start
-	)
-	if pf.dir != "" {
-		store, err = persist.Open(persist.Options{
-			Dir: pf.dir, FsyncEveryBatch: pf.fsync,
-			SegmentEvery: pf.segmentEvery, Retain: pf.retain,
-		})
-		if err != nil {
-			return err
-		}
-		if st, err = store.Load(); err != nil {
-			return err
-		}
-		cfg.Persist = store
-	}
-	var globalNodes int
-	g, globalNodes, cfg.MaxNodes, err = bootNodes(*in, *maxNodes, st.Segment)
+	ds, err := persist.OpenSingle(opts, cfg.RefreshConfig(), nodes)
 	if err != nil {
 		return err
 	}
-	if store != nil {
-		store.SetNodeBounds(globalNodes, cfg.MaxNodes)
-		recovered, err = persist.ReplaySingle(st, persist.ReplayConfig{Refresh: cfg.RefreshConfig()})
-		if err != nil {
-			return err
-		}
-		if recovered != nil {
-			rs := store.Stats().Recovered
-			log.Printf("recovered generation %d from %s (%s, %d batches replayed)",
-				recovered.Gen, pf.dir, rs.Source, rs.ReplayedBatches)
-			// The segment stays open: the recovered snapshot's graph may be
-			// served zero-copy straight from the mapping, for the life of
-			// the process.
-		}
-	}
-
+	cfg.MaxNodes, cfg.Persist = ds.MaxNodes, ds.Store
 	var srv *server.Server
-	if recovered != nil {
-		srv, err = server.NewWithSnapshot(recovered, cfg)
-		if err != nil {
+	if recovered := ds.Recovered; recovered != nil {
+		rs := ds.Store.Stats().Recovered
+		log.Printf("recovered generation %d from %s (%s, %d batches replayed)",
+			recovered.Gen, opts.Dir, rs.Source, rs.ReplayedBatches)
+		if srv, err = server.NewWithSnapshot(recovered, cfg); err != nil {
 			return err
 		}
-		logRecoveryDetail("", store)
+		logRecoveryDetail("", ds.Store)
 	} else if *coverPath != "" {
 		cv, err := loadCover(*coverPath)
 		if err != nil {
 			return err
 		}
 		log.Printf("loaded cover: %d communities", cv.Len())
-		srv, err = server.NewWithCover(g, cv, cfg)
+		srv, err = server.NewWithCover(ds.Graph, cv, cfg)
 		if err != nil {
 			return err
 		}
@@ -289,7 +252,7 @@ func run(args []string) error {
 			log.Printf("running OCA (seed %d)...", *seed)
 		}
 		start := time.Now()
-		srv, err = server.New(g, cfg)
+		srv, err = server.New(ds.Graph, cfg)
 		if err != nil {
 			return err
 		}
@@ -305,22 +268,10 @@ func run(args []string) error {
 		}
 	}
 
-	httpSrv := &http.Server{
-		Handler:           faulty(inj, srv.Handler()),
-		ReadHeaderTimeout: 10 * time.Second,
-		// WriteTimeout backs up the handler-level deadline with slack
-		// for response transmission.
-		WriteTimeout: *reqTimeout + 10*time.Second,
-		IdleTimeout:  2 * time.Minute,
-	}
-	closeFn := srv.Close
-	if store != nil {
-		closeFn = func() {
-			srv.Close() // seals the final segment
-			store.Close()
-		}
-	}
-	return serveUntilSignal(httpSrv, *addr, *addrFile, *shutdownTimeout, closeFn, nil)
+	// The write timeout backs up the handler-level deadline with slack
+	// for response transmission.
+	httpSrv := newHTTPServer(srv.Handler(), inj, *reqTimeout+10*time.Second)
+	return serveUntilSignal(httpSrv, *addr, *addrFile, *shutdownTimeout, srv.Close, nil)
 }
 
 // loadFaultInjector turns the -fault-plan flag into an Injector (nil
@@ -340,23 +291,16 @@ func loadFaultInjector(path string) (*faultinject.Injector, error) {
 	return faultinject.New(plan), nil
 }
 
-// faulty wraps a role's handler with the fault injector (plus its
-// control endpoint, registered outside the injected wrapper so a
-// blackhole-everything plan can still be lifted); identity when no
-// plan was given.
-func faulty(inj *faultinject.Injector, h http.Handler) http.Handler {
-	if inj == nil {
-		return h
+// newHTTPServer serves a role's handler with the daemon's header and
+// idle timeouts (writeTimeout 0: writes unbounded), wrapped in the fault
+// injector when a plan was given — plus its control endpoint,
+// registered outside the injected wrapper so a blackhole-everything
+// plan can still be lifted.
+func newHTTPServer(h http.Handler, inj *faultinject.Injector, writeTimeout time.Duration) *http.Server {
+	if inj != nil {
+		h = inj.Handler(h)
 	}
-	return inj.Handler(h)
-}
-
-// persistFlags carries the -data-dir flag group to the role runners.
-type persistFlags struct {
-	dir          string
-	fsync        bool
-	segmentEvery uint64
-	retain       int
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, WriteTimeout: writeTimeout, IdleTimeout: 2 * time.Minute}
 }
 
 // parseReplicaAddrs splits the -replica-addrs value into per-shard
@@ -396,11 +340,7 @@ func runReplica(primary, addr, addrFile string, connectTimeout, pollInterval, re
 		return err
 	}
 	log.Printf("shard %d mirrored at generation %d in %v", rs.Shard(), rs.Gen(), time.Since(start).Round(time.Millisecond))
-	httpSrv := &http.Server{
-		Handler:           faulty(inj, rs.Handler()),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	httpSrv := newHTTPServer(rs.Handler(), inj, 0)
 	// Drain order mirrors the shard server: advertise draining first so
 	// replica sets route new reads elsewhere, let in-flight reads finish,
 	// then stop the follow poller.
@@ -440,169 +380,41 @@ func runRouter(cfg server.Config, addrs []string, replicas [][]string, shardsFla
 		rt.Close()
 		return err
 	}
-	httpSrv := &http.Server{
-		Handler:           faulty(inj, srv.Handler()),
-		ReadHeaderTimeout: 10 * time.Second,
-		WriteTimeout:      cfg.RequestTimeout + 10*time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	httpSrv := newHTTPServer(srv.Handler(), inj, cfg.RequestTimeout+10*time.Second)
 	return serveUntilSignal(httpSrv, addr, addrFile, shutdownTimeout, srv.Close, nil)
 }
 
-// runShardServer is the shard-server role: split the graph
-// deterministically (or recover this shard's slice from its data
-// directory), host this process's shard behind the wire protocol, and
-// drain mutations before shutting down.
-func runShardServer(cfg server.Config, in string, shardIdx, k, maxNodesFlag int, pf persistFlags, addr, addrFile string, shutdownTimeout time.Duration, inj *faultinject.Injector) error {
-	scfg := shard.Config{
-		OCA:                  cfg.OCA,
-		DisableWarmStart:     cfg.DisableWarmStart,
-		Debounce:             cfg.RefreshDebounce,
-		MaxPending:           cfg.MaxPendingMutations,
-		RederiveCAfter:       cfg.RederiveCAfter,
-		IncrementalThreshold: cfg.IncrementalThreshold,
+// runShardServer is the shard-server role: boot this process's shard
+// (persist.OpenShard), host it behind the wire protocol, and drain
+// mutations before shutting down.
+func runShardServer(cfg server.Config, opts persist.Options, nodes persist.BootNodes, shardIdx, k int, addr, addrFile string, shutdownTimeout time.Duration, inj *faultinject.Injector) error {
+	// Each shard process owns a per-shard subdirectory, so K processes
+	// can share one -data-dir value.
+	if opts.Dir != "" {
+		opts.Dir = filepath.Join(opts.Dir, fmt.Sprintf("shard-%d", shardIdx))
 	}
-	if cfg.OCA.C != 0 {
-		// An explicitly pinned c is never re-derived behind the
-		// operator's back (matches the in-process sharded path).
-		scfg.RederiveCAfter = 0
-	}
-
-	// With a data directory, each shard process owns a per-shard
-	// subdirectory (so K processes can share one -data-dir value), every
-	// applied fan-out batch is WAL-logged with its translation-table
-	// growth, and boot replays the tail through ApplyBatch. The directory
-	// is read before -in: a populated one is served as is.
-	var (
-		store *persist.Store
-		w     *shard.Worker
-		st    = &persist.State{} // the zero State is a cold start
-		dir   string
-		err   error
-	)
-	if pf.dir != "" {
-		dir = filepath.Join(pf.dir, fmt.Sprintf("shard-%d", shardIdx))
-		store, err = persist.Open(persist.Options{
-			Dir: dir, FsyncEveryBatch: pf.fsync,
-			SegmentEvery: pf.segmentEvery, Retain: pf.retain,
-			Shard: shardIdx, Shards: k,
-		})
-		if err != nil {
-			return err
-		}
-		if st, err = store.Load(); err != nil {
-			return err
-		}
-		scfg.LogBatch = func(b shard.Batch, seq uint64) error {
-			return store.LogEdgeBatch(wal.EdgeBatch{Seq: seq, Base: b.Base, NewLocals: b.NewLocals, Add: b.Add, Remove: b.Remove})
-		}
-		scfg.OnSwap = func(_ int, sn *refresh.Snapshot) {
-			// w is assigned before the transport server exists, so no
-			// mutation (and hence no publish) can precede it.
-			if err := store.OnPublish(sn, w.Table()[:sn.Graph.N()]); err != nil {
-				log.Printf("persist: publishing generation %d: %v", sn.Gen, err)
-			}
-		}
-	}
-	g, globalNodes, maxN, err := bootNodes(in, maxNodesFlag, st.Segment)
+	opts.Shard, opts.Shards = shardIdx, k
+	ps, err := persist.OpenShard(opts, cfg.ShardConfig(), nodes, log.Printf)
 	if err != nil {
 		return err
 	}
-	if maxN < globalNodes {
-		maxN = globalNodes
+	if ps.Recovered {
+		logRecoveryDetail(fmt.Sprintf("shard %d ", shardIdx), ps.Store)
 	}
-	log.Printf("serving shard %d of %d (%d global nodes, growth ceiling %d)", shardIdx, k, globalNodes, maxN)
-	if store != nil {
-		store.SetNodeBounds(globalNodes, maxN)
-	}
-	if st.Segment != nil {
-		// Recover the partition map the shard was routed under and
-		// validate it against the flags before serving anything: a
-		// -shards value that disagrees with the persisted partition
-		// must fail loudly here, not misroute silently later.
-		pm, err := st.PartitionMap()
-		if err != nil {
-			return err
+	ss := transport.NewShardServer(ps.Worker, transport.ServerConfig{
+		GlobalNodes: ps.GlobalNodes, MaxNodes: ps.MaxNodes, OnMapChange: ps.OnMapChange,
+	})
+	// No write timeout: flush responses block until the rebuild
+	// publishes, bounded by the router's request deadline instead.
+	httpSrv := newHTTPServer(ss.Handler(), inj, 0)
+	closeFn := func() {
+		if err := ps.Close(); err != nil {
+			log.Printf("persist: sealing final segment: %v", err)
 		}
-		if pm != nil {
-			if pm.K != k {
-				return fmt.Errorf("shard %d: persisted partition map is %d-way at epoch %d but -shards is %d — restart with -shards %d, or point -data-dir at a fresh directory to resplit",
-					shardIdx, pm.K, pm.Epoch, k, pm.K)
-			}
-			scfg.PartitionMap = pm
-			log.Printf("shard %d recovered partition map at epoch %d (%d overrides)", shardIdx, pm.Epoch, len(pm.Ranges))
-		}
-		snap, table, err := persist.ReplayShard(st, shardIdx, k, scfg, maxN)
-		if err != nil {
-			return err
-		}
-		w = shard.NewWorkerFromSnapshot(snap, table, shardIdx, k, scfg, maxN)
-		rs := store.Stats().Recovered
-		log.Printf("shard %d recovered generation %d from %s (%s, %d batches replayed)",
-			shardIdx, snap.Gen, dir, rs.Source, rs.ReplayedBatches)
-		// The segment stays open: the recovered graph may be served
-		// zero-copy straight from the mapping.
-	}
-	if w == nil {
-		piece, err := shard.SplitOne(g, k, shardIdx)
-		if err != nil {
-			return err
-		}
-		log.Printf("running OCA for shard %d (%d local nodes, seed %d)...", shardIdx, piece.Graph.N(), cfg.OCA.Seed)
-		start := time.Now()
-		w, err = shard.NewWorker(piece, k, scfg, maxN)
-		if err != nil {
-			return err
-		}
-		log.Printf("shard %d cover ready in %v", shardIdx, time.Since(start).Round(time.Millisecond))
-	}
-	closeFn := w.Close
-	if store != nil {
-		// Seal the boot snapshot so the WAL always replays onto a segment,
-		// then start logging. Only after this may mutations be accepted.
-		snap := w.Snapshot()
-		if err := store.Seal(snap, w.Table()[:snap.Graph.N()]); err != nil {
-			return err
-		}
-		if err := store.Begin(snap.Gen); err != nil {
-			return err
-		}
-		if st.Segment != nil {
-			logRecoveryDetail(fmt.Sprintf("shard %d ", shardIdx), store)
-		}
-		closeFn = func() {
-			w.Close()
-			// Clean shutdown: seal the final state so the next boot is a
-			// pure segment load. A failure only costs that boot a replay.
-			snap := w.Snapshot()
-			if err := store.Seal(snap, w.Table()[:snap.Graph.N()]); err != nil {
-				log.Printf("persist: sealing final segment: %v", err)
-			}
-			store.Close()
-		}
-	}
-	tcfg := transport.ServerConfig{GlobalNodes: globalNodes, MaxNodes: maxN}
-	if store != nil {
-		// A final (non-pending) map install is acknowledged only after
-		// it is durable: the store stamps the new epoch and reseals, so
-		// a crash right after the flip recovers at the flipped epoch.
-		tcfg.OnMapChange = func(pm *shard.PartitionMap) error {
-			store.SetPartition(pm.Epoch, pm.Encode())
-			snap := w.Snapshot()
-			return store.Seal(snap, w.Table()[:snap.Graph.N()])
-		}
-	}
-	ss := transport.NewShardServer(w, tcfg)
-	httpSrv := &http.Server{
-		Handler:           faulty(inj, ss.Handler()),
-		ReadHeaderTimeout: 10 * time.Second,
-		// No WriteTimeout: flush responses block until the rebuild
-		// publishes, bounded by the router's request deadline instead.
-		IdleTimeout: 2 * time.Minute,
 	}
 	// Drain order: refuse new mutations first (503 "closed", the router
 	// sheds load), let in-flight applies/flushes finish with the worker
-	// still running, then stop the worker.
+	// still running, then stop the worker and seal.
 	return serveUntilSignal(httpSrv, addr, addrFile, shutdownTimeout, closeFn,
 		func() { ss.SetDraining(true) })
 }

@@ -16,7 +16,6 @@ package faultinject
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -92,8 +91,7 @@ type Counters struct {
 }
 
 // Injector applies a Plan at the HTTP layer. One Injector wraps one
-// server (Handler/Middleware) or one client transport (RoundTripper);
-// the plan is swappable at runtime. Safe for concurrent use.
+// server (Handler/Middleware); the plan is swappable at runtime. Safe for concurrent use.
 type Injector struct {
 	mu   sync.Mutex
 	plan Plan
@@ -288,69 +286,3 @@ func (in *Injector) Handler(next http.Handler) http.Handler {
 		}
 	})
 }
-
-// RoundTripper wraps an http.RoundTripper with the same faults, for
-// injecting at the client side in unit tests. Errored and blackholed
-// requests surface as transport errors (what a breaker counts).
-func (in *Injector) RoundTripper(next http.RoundTripper) http.RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		v, ok := in.decide(r.URL.Path)
-		if !ok {
-			return next.RoundTrip(r)
-		}
-		in.matched.Add(1)
-		if v.delay > 0 {
-			in.delayed.Add(1)
-			t := time.NewTimer(v.delay)
-			select {
-			case <-t.C:
-			case <-r.Context().Done():
-				t.Stop()
-				return nil, r.Context().Err()
-			}
-		}
-		if v.blackhole {
-			in.blackholed.Add(1)
-			<-r.Context().Done()
-			return nil, r.Context().Err()
-		}
-		if v.errored {
-			in.errored.Add(1)
-			return nil, fmt.Errorf("faultinject: injected error for %s", r.URL.Path)
-		}
-		resp, err := next.RoundTrip(r)
-		if err == nil && v.truncate {
-			in.truncated.Add(1)
-			resp.Body = &truncatedBody{rc: resp.Body, remaining: tornResponseBytes}
-		}
-		return resp, err
-	})
-}
-
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
-
-// truncatedBody yields a few real bytes, then an abrupt EOF-like
-// error, imitating a torn TCP stream.
-type truncatedBody struct {
-	rc        io.ReadCloser
-	remaining int
-}
-
-func (t *truncatedBody) Read(p []byte) (int, error) {
-	if t.remaining <= 0 {
-		return 0, fmt.Errorf("faultinject: torn response")
-	}
-	if len(p) > t.remaining {
-		p = p[:t.remaining]
-	}
-	n, err := t.rc.Read(p)
-	t.remaining -= n
-	return n, err
-}
-
-func (t *truncatedBody) Close() error { return t.rc.Close() }

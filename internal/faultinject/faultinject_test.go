@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -270,51 +269,4 @@ func TestControlEndpoint(t *testing.T) {
 		t.Fatalf("post-clear request: %v %v", resp2, err)
 	}
 	resp2.Body.Close()
-}
-
-// TestRoundTripperFaults: client-side injection surfaces errors and
-// blackholes as transport failures.
-func TestRoundTripperFaults(t *testing.T) {
-	ts := httptest.NewServer(okHandler())
-	defer ts.Close()
-
-	in := New(Plan{Rules: []Rule{{ErrorRate: 1}}})
-	cl := &http.Client{Transport: in.RoundTripper(nil)}
-	if _, err := cl.Get(ts.URL + "/x"); err == nil {
-		t.Error("errored round trip returned no error")
-	}
-
-	in.SetPlan(Plan{Rules: []Rule{{Blackhole: true}}})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/x", nil)
-	if _, err := cl.Do(req); err == nil {
-		t.Error("blackholed round trip returned no error")
-	}
-
-	in.SetPlan(Plan{Rules: []Rule{{TruncateRate: 1}}})
-	resp, err := cl.Get(ts.URL + "/x")
-	if err != nil {
-		t.Fatalf("truncated round trip failed at transport: %v", err)
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr == nil {
-		t.Errorf("torn body read cleanly: %q", body)
-	}
-	if len(body) > tornResponseBytes {
-		t.Errorf("torn body delivered %d bytes, cap %d", len(body), tornResponseBytes)
-	}
-
-	in.SetPlan(Plan{})
-	resp, err = cl.Get(ts.URL + "/x")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("clean round trip: %v %v", resp, err)
-	}
-	var buf bytes.Buffer
-	_, _ = io.Copy(&buf, resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(buf.String(), `"ok":true`) {
-		t.Errorf("clean body: %q", buf.String())
-	}
 }

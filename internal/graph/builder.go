@@ -49,16 +49,6 @@ func (b *Builder) AddEdge(u, v int32) {
 	b.edges = append(b.edges, packEdge(u, v))
 }
 
-// PendingEdges returns the number of edges recorded so far, before
-// deduplication.
-func (b *Builder) PendingEdges() int { return len(b.edges) }
-
-// HasEdgePending reports whether {u,v} has already been recorded. It is a
-// linear scan and intended only for small builders in tests.
-func (b *Builder) HasEdgePending(u, v int32) bool {
-	return slices.Contains(b.edges, packEdge(u, v))
-}
-
 // Build sorts, deduplicates and symmetrizes the recorded edges and
 // returns the immutable CSR graph. The Builder may be reused afterwards;
 // its recorded edges are preserved.

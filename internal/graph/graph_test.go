@@ -153,44 +153,6 @@ func TestComponents(t *testing.T) {
 	if labels[5] == labels[6] {
 		t.Fatal("5 and 6 should be separate components")
 	}
-	lc := LargestComponent(g)
-	want := []int32{0, 1, 2}
-	if len(lc) != 3 || lc[0] != want[0] || lc[1] != want[1] || lc[2] != want[2] {
-		t.Fatalf("largest component %v, want %v", lc, want)
-	}
-}
-
-func TestBFSDistances(t *testing.T) {
-	g := path(5)
-	d := BFSDistances(g, 0)
-	for i, want := range []int32{0, 1, 2, 3, 4} {
-		if d[i] != want {
-			t.Fatalf("dist[%d]=%d, want %d", i, d[i], want)
-		}
-	}
-	b := NewBuilder(3)
-	b.AddEdge(0, 1)
-	g2 := b.Build()
-	d2 := BFSDistances(g2, 0)
-	if d2[2] != -1 {
-		t.Fatalf("unreachable node distance %d, want -1", d2[2])
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := complete(6)
-	sub, orig := Subgraph(g, []int32{1, 3, 5})
-	if sub.N() != 3 || sub.M() != 3 {
-		t.Fatalf("subgraph n=%d m=%d, want 3,3", sub.N(), sub.M())
-	}
-	if orig[0] != 1 || orig[1] != 3 || orig[2] != 5 {
-		t.Fatalf("orig mapping %v", orig)
-	}
-	// Path: keep only endpoints -> no edges.
-	sub2, _ := Subgraph(path(5), []int32{0, 4})
-	if sub2.M() != 0 {
-		t.Fatalf("induced subgraph should have no edges, got %d", sub2.M())
-	}
 }
 
 func TestStats(t *testing.T) {

@@ -31,73 +31,3 @@ func Components(g *Graph) (labels []int32, count int) {
 	}
 	return labels, int(next)
 }
-
-// LargestComponent returns the members of the largest connected component
-// in increasing node order.
-func LargestComponent(g *Graph) []int32 {
-	labels, count := Components(g)
-	if count == 0 {
-		return nil
-	}
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best := 0
-	for c, s := range sizes {
-		if s > sizes[best] {
-			best = c
-		}
-	}
-	out := make([]int32, 0, sizes[best])
-	for v, l := range labels {
-		if int(l) == best {
-			out = append(out, int32(v))
-		}
-	}
-	return out
-}
-
-// BFSDistances returns the hop distance from src to every node, with -1
-// for unreachable nodes.
-func BFSDistances(g *Graph, src int32) []int32 {
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// Subgraph extracts the induced subgraph on the given nodes. It returns
-// the subgraph (with dense ids 0..len(nodes)-1 in the order given) and
-// the mapping from new id to original id.
-func Subgraph(g *Graph, nodes []int32) (*Graph, []int32) {
-	remap := make(map[int32]int32, len(nodes))
-	for i, v := range nodes {
-		remap[v] = int32(i)
-	}
-	b := NewBuilder(len(nodes))
-	for i, v := range nodes {
-		for _, w := range g.Neighbors(v) {
-			if j, ok := remap[w]; ok && j > int32(i) {
-				b.AddEdge(int32(i), j)
-			}
-		}
-	}
-	sub := b.Build()
-	orig := make([]int32, len(nodes))
-	copy(orig, nodes)
-	return sub, orig
-}

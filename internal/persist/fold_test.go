@@ -710,9 +710,9 @@ func TestParentCommitWALRecoversThroughTheEngine(t *testing.T) {
 			len(st.Tail), len(st.Publishes), len(st.Patches), st.LastGen, st.LastSeq)
 	}
 	// The configuration the fixture was written under.
-	snap, err := ReplaySingle(st, ReplayConfig{Refresh: refresh.Config{
+	snap, err := replaySingle(st, refresh.Config{
 		OCA: core.Options{Seed: 1, C: 0.5}, IncrementalThreshold: 1, MaxNodes: 80,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

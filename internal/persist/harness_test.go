@@ -22,10 +22,17 @@ import (
 const histShard, histK = 1, 2
 
 // history is a live deployment of one role — a K=1 refresh worker or a
-// ghost-filtering shard worker — wired to a Store the way cmd/ocad
-// wires it, with a record of every generation it published, so that a
-// recovery can be held against the live state it claims to reproduce.
-// Nothing in it sleeps: the test goroutine waits on the publish hook.
+// ghost-filtering shard worker — logging to a Store, with a record of
+// every generation it published, so that a recovery can be held against
+// the live state it claims to reproduce. Nothing in it sleeps: the test
+// goroutine waits on the publish hook.
+//
+// It boots through Store.Boot like every role but installs the store's
+// hooks itself rather than through OpenShard: its publish hook can run
+// a gated writer between a generation becoming visible and the store
+// logging that publish (gateNext) — the window a batch arriving during
+// a rebuild lands in, which OpenShard's order (log the publish, then
+// the caller's hook) never opens on demand.
 type history struct {
 	t        testing.TB
 	sharded  bool
@@ -119,7 +126,7 @@ func (h *history) liveShardConfig(pm *shard.PartitionMap) shard.Config {
 }
 
 // serve starts the live worker over a cold-built or recovered snapshot
-// and finishes the boot as cmd/ocad does: seal, then begin the WAL.
+// and finishes the boot: seal, then begin the WAL (began).
 func (h *history) serve(snap *refresh.Snapshot, table []int32, pm *shard.PartitionMap) {
 	if h.sharded {
 		h.sw = shard.NewWorkerFromSnapshot(snap, table, histShard, histK, h.liveShardConfig(pm), h.maxNodes)
@@ -146,10 +153,7 @@ func (h *history) began(snap *refresh.Snapshot, table []int32) {
 	if h.sharded {
 		table = table[:snap.Graph.N()]
 	}
-	if err := h.store.Seal(snap, table); err != nil {
-		h.t.Fatal(err)
-	}
-	if err := h.store.Begin(snap.Gen); err != nil {
+	if err := h.store.Boot(snap, table); err != nil {
 		h.t.Fatal(err)
 	}
 	h.mu.Lock()
@@ -280,7 +284,7 @@ func (h *history) kill() {
 type recovery struct {
 	store *Store
 	st    *State
-	// replayed and table are ReplaySingle's / ReplayShard's results.
+	// replayed and table are replaySingle's / ReplayShard's results.
 	replayed *refresh.Snapshot
 	table    []int32
 	// serving is the snapshot the role's worker then serves: replayed
@@ -317,7 +321,7 @@ func (h *history) recoverAt(dir string, cfgEdit func(*core.Options)) recovery {
 		if cfgEdit != nil {
 			cfgEdit(&cfg.OCA)
 		}
-		if r.replayed, err = ReplaySingle(r.st, ReplayConfig{Refresh: cfg}); err != nil {
+		if r.replayed, err = replaySingle(r.st, cfg); err != nil {
 			h.t.Fatal(err)
 		}
 		r.serving = r.replayed
@@ -339,9 +343,9 @@ func (h *history) recoverAt(dir string, cfgEdit func(*core.Options)) recovery {
 	return r
 }
 
-// boot restarts the killed deployment over its own directory, the way
-// cmd/ocad boots, and reports what recovery found and whether the boot
-// sealed a segment.
+// boot restarts the killed deployment over its own directory in
+// OpenShard's order — recover, seal, begin — and reports what recovery
+// found and whether the boot sealed a segment.
 func (h *history) boot() (r recovery, sealed bool) {
 	h.t.Helper()
 	r = h.recoverAt(h.dir, nil)

@@ -77,7 +77,7 @@ func (st *State) PartitionMap() (*shard.PartitionMap, error) {
 // WAL tail beyond it. Corrupt or torn segments are skipped in favor of
 // older ones; a torn WAL tail is cut at its last intact record. An
 // empty directory is a clean cold start, not an error. Load does not
-// start the live WAL — call Begin once the serving snapshot is known.
+// start the live WAL — call Boot once the serving snapshot is known.
 func (s *Store) Load() (*State, error) {
 	st := &State{store: s}
 
@@ -292,14 +292,16 @@ func foldTail(st *State, maxNodes int) (snap *refresh.Snapshot, table []int32, b
 
 // recoverTail is the recovery both roles share: fold what the log
 // describes, then hand whatever is left to the role's engine, starting
-// from the folded snapshot (the segment's own when nothing folded). It
+// from the folded snapshot (the segment's own when nothing folded).
+// Either start is bare — no index, no stats — and so is the result when
+// the engine had nothing to do: the role assembles it once. It
 // forces the generation to the last published one, so the restart is
 // invisible to generation-tracking clients, and reports what it did to
 // the store that loaded the state.
 func recoverTail(st *State, maxNodes int, engine func(start *refresh.Snapshot, table []int32, tail []wal.EdgeBatch, pubs []wal.Publish) (*refresh.Snapshot, []int32, error)) (*refresh.Snapshot, []int32, error) {
 	snap, table, nb, np := foldTail(st, maxNodes)
 	if snap == nil {
-		snap, table = st.Segment.Snapshot(), st.Segment.Table
+		snap, table = st.Segment.bare(), st.Segment.Table
 	}
 	tail, pubs := st.Tail[nb:], st.Publishes[np:]
 	derived := len(pubs)
@@ -333,27 +335,18 @@ func recoverTail(st *State, maxNodes int, engine func(start *refresh.Snapshot, t
 	return snap, table, nil
 }
 
-// ReplayConfig tunes the throwaway worker ReplaySingle drives through
-// whatever part of the WAL tail the log does not describe.
-type ReplayConfig struct {
-	// Refresh carries the serving rebuild options (OCA, incremental
-	// threshold, warm start, MaxNodes, RederiveCAfter). Debounce and the
-	// persistence hooks are overridden: replay never logs to the WAL it
-	// is reading.
-	Refresh refresh.Config
-}
-
-// ReplaySingle reproduces the pre-shutdown snapshot for the
+// replaySingle reproduces the pre-shutdown snapshot for the
 // single-graph role: the segment's snapshot plus the WAL tail — folded
 // from its cover patches where the log describes it, applied through
-// the incremental rebuild engine where it does not — with the
+// the incremental rebuild engine where it does not, under rcfg (the
+// serving rebuild options; Debounce and the persistence hooks are
+// overridden: replay never logs to the WAL it is reading) — with the
 // generation forced to the last published one. A nil-segment state
 // returns nil (cold start).
-func ReplaySingle(st *State, cfg ReplayConfig) (*refresh.Snapshot, error) {
+func replaySingle(st *State, rcfg refresh.Config) (*refresh.Snapshot, error) {
 	if st.Segment == nil {
 		return nil, nil
 	}
-	rcfg := cfg.Refresh
 	rcfg.Debounce = replayDebounce
 	rcfg.LogBatch = nil
 	rcfg.OnSwap = nil
@@ -403,9 +396,10 @@ func assembled(snap *refresh.Snapshot) *refresh.Snapshot {
 // snapshot's generation is forced to the last published one. It
 // returns the final snapshot and the full translation table, from
 // which the caller builds the serving worker
-// (shard.NewWorkerFromSnapshot); a fully described tail starts no
-// worker here, and the snapshot comes back bare (no index, no Aux). A
-// nil-segment state returns nils (cold start).
+// (shard.NewWorkerFromSnapshot); a fully described or empty tail starts
+// no worker here, and the snapshot comes back bare (no index, no Aux),
+// for that worker to assemble once. A nil-segment state returns nils
+// (cold start).
 func ReplayShard(st *State, shardID, k int, cfg shard.Config, maxNodes int) (*refresh.Snapshot, []int32, error) {
 	if st.Segment == nil {
 		return nil, nil, nil

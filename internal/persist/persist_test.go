@@ -186,7 +186,7 @@ func TestSealLoadReplayRoundTrip(t *testing.T) {
 		t.Errorf("stats = %+v", st.Stats)
 	}
 
-	got, err := ReplaySingle(st, ReplayConfig{})
+	got, err := replaySingle(st, refresh.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestLoadTornWALTail(t *testing.T) {
 	if len(st.Tail) != 1 || st.Tail[0].Seq != 4 {
 		t.Fatalf("tail = %+v, want only seq 4", st.Tail)
 	}
-	got, err := ReplaySingle(st, ReplayConfig{})
+	got, err := replaySingle(st, refresh.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

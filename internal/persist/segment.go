@@ -126,10 +126,6 @@ type Segment struct {
 	mapping []byte // non-nil when Graph aliases an mmap
 }
 
-// Mapped reports whether the graph serves straight from an mmap of the
-// segment file.
-func (s *Segment) Mapped() bool { return s.mapping != nil }
-
 // Close releases the segment's mapping, if any. The graph (and any
 // snapshot holding it) must not be used afterwards.
 func (s *Segment) Close() error {
@@ -152,8 +148,12 @@ func (s *Segment) Close() error {
 // rebuild onto the full path — diverging from the live history that
 // WAL replay must reproduce exactly. The run counters stay zero: this
 // process did none of that work.
-func (s *Segment) Snapshot() *refresh.Snapshot {
-	snap := refresh.NewSnapshot(s.Graph, s.Cover, &core.Result{Cover: s.Cover, C: s.Info.C}, s.Info.C, 0)
+func (s *Segment) Snapshot() *refresh.Snapshot { return assembled(s.bare()) }
+
+// bare is Snapshot without the index and stats: what recovery hands
+// the role that serves the generation, which assembles it once.
+func (s *Segment) bare() *refresh.Snapshot {
+	snap := &refresh.Snapshot{Graph: s.Graph, Cover: s.Cover, Result: &core.Result{Cover: s.Cover, C: s.Info.C}}
 	snap.Restore(s.Info)
 	return snap
 }

@@ -3,130 +3,106 @@ package persist
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/shard"
-	"repro/internal/wal"
 )
 
+// bootFrom is a BootNodes over g the way cmd/ocad's bootNodes resolves
+// it: a segment that records its global node count answers alone, and
+// the ceiling never shrinks.
+func bootFrom(g *graph.Graph, maxNodes int) BootNodes {
+	return func(seg *Segment) (*graph.Graph, int, int, error) {
+		if seg != nil && seg.GlobalNodes > 0 {
+			return nil, seg.GlobalNodes, max(maxNodes, seg.MaxNodes), nil
+		}
+		return g, g.N(), maxNodes, nil
+	}
+}
+
 // TestShardCrashRestartRoundTrip drives the full shard-server
-// durability cycle: a live worker logging through the store, a
-// simulated kill (no Seal), and a restart that replays the WAL tail —
-// including translation-table growth — back to the pre-kill state.
+// durability cycle through OpenShard: a cold boot, a batch that grows
+// the translation table, a simulated kill (no final seal), a restart
+// that replays the WAL tail back to the pre-kill state, a clean
+// shutdown — and then the recovery of a directory with no tail, which
+// must hand the serving worker a bare snapshot to assemble once.
 func TestShardCrashRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	g := twoCliques()
 	const shardID, k, maxNodes = 1, 2, 32
-	pc, err := shard.SplitOne(g, k, shardID)
-	if err != nil {
-		t.Fatal(err)
+	opts := Options{Dir: dir, Shard: shardID, Shards: k}
+	cfg := shard.Config{OCA: core.Options{Seed: 1, C: 0.5}, Debounce: -1}
+	boot := func() *Shard {
+		t.Helper()
+		ps, err := OpenShard(opts, cfg, bootFrom(g, maxNodes), t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ps.Worker.Close(); ps.Store.Close() })
+		return ps
 	}
 
-	s := openStore(t, dir, Options{Shard: shardID, Shards: k, MaxNodes: maxNodes})
-	cfg := shard.Config{
-		OCA:      core.Options{Seed: 1, C: 0.5},
-		Debounce: -1,
-		LogBatch: func(b shard.Batch, seq uint64) error {
-			return s.LogEdgeBatch(wal.EdgeBatch{Seq: seq, Base: b.Base, NewLocals: b.NewLocals, Add: b.Add, Remove: b.Remove})
-		},
+	// The cold boot seals generation 1 and begins the WAL; then global
+	// node 20 materializes locally.
+	ps := boot()
+	snap0 := ps.Worker.Snapshot()
+	if got := ps.Store.Generations(); ps.Recovered || !reflect.DeepEqual(got, []uint64{snap0.Gen}) {
+		t.Fatalf("cold boot: recovered %v, segments %v; want a cold boot that sealed generation %d", ps.Recovered, got, snap0.Gen)
 	}
-	w, err := shard.NewWorker(pc, k, cfg, maxNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	// Seal the initial generation, then apply a batch that grows the
-	// table (a new global node 20 materializes locally).
-	snap0 := w.Snapshot()
-	if err := s.Seal(snap0, w.Table()[:snap0.Graph.N()]); err != nil {
-		t.Fatal(err)
-	}
-	base := len(w.Table())
+	base := len(ps.Worker.Table())
 	newLocal := int32(base) // local id the growth lands on
-	batch := shard.Batch{
-		Base:      base,
-		NewLocals: []int32{20},
-		Add:       [][2]int32{{0, newLocal}},
-	}
-	if _, _, err := w.ApplyBatch(batch); err != nil {
+	if _, _, err := ps.Worker.ApplyBatch(shard.Batch{Base: base, NewLocals: []int32{20}, Add: [][2]int32{{0, newLocal}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Flush(context.Background()); err != nil {
+	if _, err := ps.Worker.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	pre := w.Snapshot()
-	if err := s.OnPublish(pre, w.Table()[:pre.Graph.N()]); err != nil {
-		t.Fatal(err)
-	}
-	preTable := w.Table()
-	s.Close() // kill -9: no Seal
+	pre, preTable := ps.Worker.Snapshot(), ps.Worker.Table()
+	ps.Worker.Close() // returns once the last publish hook has run
+	ps.Store.Close()  // kill -9: no final seal
 
-	// Restart.
-	s2 := openStore(t, dir, Options{Shard: shardID, Shards: k, MaxNodes: maxNodes})
-	st, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
+	// Restart: the tail's one publish is read back from the log, so the
+	// boot seal has nothing to make durable.
+	ps2 := boot()
+	rs := ps2.Store.Stats().Recovered
+	if !ps2.Recovered || rs.Source != "segment+wal" || rs.SegmentGen != snap0.Gen || rs.ReplayedBatches != 1 || rs.PatchedPublishes != 1 || rs.DerivedPublishes != 0 {
+		t.Fatalf("restart recovered %v with %+v; want segment %d plus one batch, folded", ps2.Recovered, rs, snap0.Gen)
 	}
-	if st.Segment == nil || st.Segment.Info.Gen != snap0.Gen {
-		t.Fatalf("recovered segment = %+v, want gen %d", st.Segment, snap0.Gen)
+	if ps2.GlobalNodes != g.N() || ps2.MaxNodes != maxNodes {
+		t.Errorf("restart identity: global %d max %d, want %d/%d", ps2.GlobalNodes, ps2.MaxNodes, g.N(), maxNodes)
 	}
-	if len(st.Tail) != 1 || !reflect.DeepEqual(st.Tail[0].NewLocals, []int32{20}) || st.Tail[0].Base != base {
-		t.Fatalf("tail = %+v, want the growth batch (base %d, new [20])", st.Tail, base)
-	}
-	got, table, err := ReplayShard(st, shardID, k, cfg, maxNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := ps2.Worker.Snapshot()
 	if got.Gen != pre.Gen || got.Seq != pre.Seq {
-		t.Errorf("replayed gen/seq = %d/%d, want %d/%d", got.Gen, got.Seq, pre.Gen, pre.Seq)
+		t.Errorf("restored gen/seq = %d/%d, want %d/%d", got.Gen, got.Seq, pre.Gen, pre.Seq)
 	}
-	if !reflect.DeepEqual(table, preTable) {
-		t.Errorf("replayed table = %v, want %v", table, preTable)
+	if table := ps2.Worker.Table(); !reflect.DeepEqual(table, preTable) {
+		t.Errorf("restored table = %v, want %v", table, preTable)
 	}
-	if !got.Graph.HasEdge(0, newLocal) {
-		t.Error("replayed shard graph lost the new edge")
+	if l, ok := ps2.Worker.Lookup(20); !ok || l != newLocal || !got.Graph.HasEdge(0, newLocal) {
+		t.Errorf("restored worker Lookup(20) = %d/%v, edge 0-%d present: %v; want %d/true/true", l, ok, newLocal, got.Graph.HasEdge(0, newLocal), newLocal)
 	}
 	if !reflect.DeepEqual(got.Cover.Communities, pre.Cover.Communities) {
-		t.Errorf("replayed cover differs: %v vs %v", got.Cover.Communities, pre.Cover.Communities)
+		t.Errorf("restored cover differs: %v vs %v", got.Cover.Communities, pre.Cover.Communities)
 	}
-
-	// The serving worker rebuilt from the replayed state answers like
-	// the pre-kill one.
-	w2 := shard.NewWorkerFromSnapshot(got, table, shardID, k, cfg, maxNodes)
-	defer w2.Close()
-	if l, ok := w2.Lookup(20); !ok || l != newLocal {
-		t.Errorf("restored worker Lookup(20) = %d/%v, want %d/true", l, ok, newLocal)
+	if segs := ps2.Store.Generations(); !reflect.DeepEqual(segs, []uint64{snap0.Gen}) {
+		t.Errorf("segments after the boot seal of a fully described tail = %v, want only %d", segs, snap0.Gen)
 	}
-	if w2.Snapshot().Gen != pre.Gen {
-		t.Errorf("restored worker generation = %d, want %d", w2.Snapshot().Gen, pre.Gen)
-	}
-
-	// The boot goes on as cmd/ocad's does: its seal has nothing to make
-	// durable — the log described the whole tail — and the live WAL
-	// begins at the recovered generation.
-	snap2 := w2.Snapshot()
-	if err := s2.Seal(snap2, w2.Table()[:snap2.Graph.N()]); err != nil {
+	// Clean shutdown seals the served generation.
+	if err := ps2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Generations(); !reflect.DeepEqual(got, []uint64{snap0.Gen}) {
-		t.Errorf("segments after the boot seal of a fully described tail = %v, want only %d", got, snap0.Gen)
-	}
-	if err := s2.Begin(snap2.Gen); err != nil {
-		t.Fatal(err)
+	if segs := ps2.Store.Generations(); !reflect.DeepEqual(segs, []uint64{snap0.Gen, pre.Gen}) {
+		t.Errorf("segments after a clean shutdown = %v, want %d and %d", segs, snap0.Gen, pre.Gen)
 	}
 
-	// Clean shutdown, then a second restart: the serving worker's state
-	// is sealed, so the boot finds no WAL tail and has nothing to replay.
-	// ReplayShard must then start no worker — it hands back the segment's
-	// own assembly (a shard worker would have attached its Meta) — and
-	// that carries exactly what the worker path would have returned.
-	if err := s2.Seal(snap2, w2.Table()[:snap2.Graph.N()]); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	st3, err := openStore(t, dir, Options{Shard: shardID, Shards: k, MaxNodes: maxNodes}).Load()
+	// The directory now holds no tail. ReplayShard starts no worker and
+	// assembles nothing: the worker that serves the snapshot assembles
+	// it, once. That worker answers exactly what one built from the
+	// fully assembled segment snapshot answers.
+	st3, err := openStore(t, dir, Options{Shard: shardID, Shards: k}).Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,23 +113,58 @@ func TestShardCrashRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Aux != nil {
-		t.Errorf("clean restart went through a shard worker (Aux = %T), want the segment's own snapshot", clean.Aux)
+	if clean.Index != nil || clean.Aux != nil {
+		t.Errorf("clean restart came back assembled (index %v, Aux %T); want the bare segment snapshot", clean.Index != nil, clean.Aux)
 	}
-	viaWorker := shard.NewWorkerFromSnapshot(st3.Segment.Snapshot(), st3.Segment.Table, shardID, k, cfg, maxNodes)
-	defer viaWorker.Close()
-	want := viaWorker.Snapshot()
-	if clean.Info() != want.Info() {
-		t.Errorf("clean restart info = %+v, worker path %+v", clean.Info(), want.Info())
+	served := shard.NewWorkerFromSnapshot(clean, cleanTable, shardID, k, cfg, maxNodes)
+	defer served.Close()
+	assembled := shard.NewWorkerFromSnapshot(st3.Segment.Snapshot(), st3.Segment.Table, shardID, k, cfg, maxNodes)
+	defer assembled.Close()
+	a, b := served.Snapshot(), assembled.Snapshot()
+	if a.Info() != b.Info() || a.Gen != pre.Gen || a.Stats != b.Stats || !reflect.DeepEqual(a.Aux, b.Aux) ||
+		!reflect.DeepEqual(a.Cover.Communities, b.Cover.Communities) || !reflect.DeepEqual(served.Table(), assembled.Table()) {
+		t.Errorf("worker over the bare snapshot serves %+v, over the assembled one %+v", a.Info(), b.Info())
 	}
-	if clean.Gen != pre.Gen {
-		t.Errorf("clean restart generation = %d, want %d", clean.Gen, pre.Gen)
+	for _, global := range assembled.Table() {
+		la, oka := served.Lookup(global)
+		lb, okb := assembled.Lookup(global)
+		if la != lb || oka != okb || !reflect.DeepEqual(a.Index.Communities(la), b.Index.Communities(lb)) {
+			t.Errorf("global node %d: local %d/%v in %v over the bare snapshot, %d/%v in %v over the assembled one",
+				global, la, oka, a.Index.Communities(la), lb, okb, b.Index.Communities(lb))
+		}
 	}
-	if !reflect.DeepEqual(clean.Cover.Communities, want.Cover.Communities) {
-		t.Errorf("clean restart cover differs: %v vs %v", clean.Cover.Communities, want.Cover.Communities)
+}
+
+// TestOpenShardRefusesAnotherSplit: a directory whose persisted map is
+// 3-way does not boot as one of 2 shards — and the refused boot writes
+// nothing, so restarting with the right flags still finds it intact.
+func TestOpenShardRefusesAnotherSplit(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Shard: 1, Shards: 2}
+	cfg := shard.Config{OCA: core.Options{Seed: 1, C: 0.5}}
+	ps, err := OpenShard(opts, cfg, bootFrom(twoCliques(), 32), t.Logf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cleanTable, viaWorker.Table()) {
-		t.Errorf("clean restart table = %v, worker path %v", cleanTable, viaWorker.Table())
+	pm, err := shard.NewPartitionMap(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm, err = pm.Move(0, 4, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.OnMapChange(pm); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+	if _, err := OpenShard(opts, cfg, bootFrom(twoCliques(), 32), t.Logf); err == nil || !strings.Contains(err.Error(), "3-way at epoch 1") {
+		t.Fatalf("boot under -shards 2 over a 3-way map: %v", err)
+	}
+	if !reflect.DeepEqual(dirBytes(t, dir), before) {
+		t.Error("a refused boot changed the data directory")
 	}
 }
 

@@ -13,14 +13,15 @@ import (
 )
 
 // TestSingleCrashRestartRoundTrip is the single-graph twin of
-// TestShardCrashRestartRoundTrip: a live refresh worker wired to the
-// store the way cmd/ocad wires it (LogBatch, OnSwap → OnPublish) takes
-// eight flushed batches, the store is closed with no final seal — a
-// kill — and ReplaySingle must bring back the pre-kill generation with
-// the identical cover, community for community. The batches re-add
-// edges stripped from an LFR graph, so every replayed publish is a real
-// incremental rebuild, and SegmentEvery is out of reach, so all eight
-// are still in the WAL at the kill.
+// TestShardCrashRestartRoundTrip: a live refresh worker with the
+// store's hooks (LogBatch, OnSwap → OnPublish; the server package's
+// localProvider installs the same two) takes eight flushed batches, the
+// store is closed with no final seal — a kill — and OpenSingle must
+// bring back the pre-kill generation with the identical cover,
+// community for community. The batches re-add edges stripped from an
+// LFR graph, so every replayed publish is a real incremental rebuild,
+// and SegmentEvery is out of reach, so all eight are still in the WAL
+// at the kill.
 func TestSingleCrashRestartRoundTrip(t *testing.T) {
 	const batches, batchSize = 8, 4
 	bench, err := lfr.Generate(lfr.Params{
@@ -52,10 +53,10 @@ func TestSingleCrashRestartRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	s := openStore(t, dir, Options{MaxNodes: final.N(), SegmentEvery: 1 << 32})
+	s := openStore(t, dir, Options{MaxNodes: final.N(), GlobalNodes: start.N(), SegmentEvery: 1 << 32})
 	snap := refresh.NewSnapshot(start, res.Cover, res, opt.C, 0)
 	snap.Gen = 1
-	if err := s.Seal(snap, nil); err != nil {
+	if err := s.Boot(snap, nil); err != nil {
 		t.Fatal(err)
 	}
 	rcfg := refresh.Config{
@@ -85,19 +86,18 @@ func TestSingleCrashRestartRoundTrip(t *testing.T) {
 	w.Close() // returns once the last publish hook has run
 	s.Close() // kill -9: no Seal
 
-	st, err := openStore(t, dir, Options{MaxNodes: final.N()}).Load()
+	// The live config as is: recovery drops the persistence hooks. The
+	// directory records the node count, so the input is not read.
+	ds, err := OpenSingle(Options{Dir: dir}, rcfg, bootFrom(nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Segment == nil || st.Segment.Info.Gen != 1 || len(st.Tail) != batches || len(st.Publishes) != batches {
-		t.Fatalf("recovered segment %+v, %d tail batches, %d publish markers; want generation 1 and %d of each",
-			st.Segment, len(st.Tail), len(st.Publishes), batches)
+	defer ds.Store.Close()
+	if rs := ds.Store.Stats().Recovered; rs.SegmentGen != 1 || rs.ReplayedBatches != batches || rs.PatchedPublishes != batches || ds.Graph != nil || ds.MaxNodes != final.N() {
+		t.Fatalf("recovered %+v, input graph read: %v, ceiling %d; want segment 1 and %d batches and publishes, no input, ceiling %d",
+			rs, ds.Graph != nil, ds.MaxNodes, batches, final.N())
 	}
-	// The live config as is: ReplaySingle drops the persistence hooks.
-	got, err := ReplaySingle(st, ReplayConfig{Refresh: rcfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := ds.Recovered
 	if pre.Gen != 1+batches || got.Gen != pre.Gen || got.Seq != pre.Seq {
 		t.Errorf("replayed gen/seq = %d/%d, pre-kill %d/%d, want generation %d", got.Gen, got.Seq, pre.Gen, pre.Seq, 1+batches)
 	}

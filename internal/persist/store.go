@@ -60,6 +60,8 @@ type Stats struct {
 	WALFsync        bool      `json:"wal_fsync"`
 	LoggedBatches   uint64    `json:"logged_batches"`
 	SegmentFailures uint64    `json:"segment_failures"`
+	// LastError is the newest failure to log a publish or seal a segment.
+	LastError string `json:"last_error,omitempty"`
 	// Recovery facts from the startup Load, frozen afterwards.
 	Recovered RecoveryStats `json:"recovered"`
 }
@@ -84,7 +86,7 @@ type RecoveryStats struct {
 	// recovery read back from their logged cover patches;
 	// DerivedPublishes the ones the engine had to derive again — markers
 	// without a usable patch, and the flush of batches that were accepted
-	// but never published. Filled in by ReplaySingle/ReplayShard.
+	// but never published. Filled in by replay.
 	PatchedPublishes int `json:"patched_publishes,omitempty"`
 	DerivedPublishes int `json:"derived_publishes,omitempty"`
 }
@@ -103,6 +105,7 @@ type Store struct {
 	pubsSinceSeg  uint64
 	loggedBatches uint64
 	segFailures   uint64
+	lastErr       string
 	recovered     RecoveryStats
 
 	// epoch/pmap are the partition-map facts stamped into every segment
@@ -130,7 +133,7 @@ type Store struct {
 
 // Open creates (if needed) the data directory and returns a Store over
 // it. No files are read or written yet: call Load to recover, then
-// Begin to start the live WAL.
+// Boot to start the live WAL. OpenShard and OpenSingle do all three.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("persist: data dir must not be empty")
@@ -145,12 +148,11 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("persist: creating data dir: %w", err)
 	}
 	s := &Store{opts: opts}
-	s.segments, s.newestSeg = s.scanSegments()
+	if segs := s.listSegments(); len(segs) > 0 {
+		s.segments, s.newestSeg = len(segs), segs[len(segs)-1]
+	}
 	return s, nil
 }
-
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.opts.Dir }
 
 // SetPartition records the partition map the shard now routes under;
 // every segment sealed afterwards carries it. enc is the map's binary
@@ -178,16 +180,6 @@ func (s *Store) SetNodeBounds(globalNodes, maxNodes int) {
 }
 
 func (s *Store) nodeBounds() [2]int { return [2]int{s.opts.GlobalNodes, s.opts.MaxNodes} }
-
-func (s *Store) scanSegments() (count int, newest uint64) {
-	for _, gen := range s.listSegments() {
-		count++
-		if gen > newest {
-			newest = gen
-		}
-	}
-	return count, newest
-}
 
 // listSegments returns the generations with a segment file present, in
 // ascending order.
@@ -218,9 +210,18 @@ func listByPattern(dir, pattern, ext string) []uint64 {
 	return gens
 }
 
-// Begin starts the live WAL for batches accepted after generation gen
-// (the recovered — or freshly built — snapshot's generation). Call once
-// after Load, before serving mutations.
+// Boot makes snap, the generation a role is about to serve, the base of
+// the live WAL: it seals snap (see Seal: only what the directory lacks)
+// so the WAL always replays onto a segment, then begins the WAL. Call
+// it once after recovery, before the first mutation is accepted.
+func (s *Store) Boot(snap *refresh.Snapshot, table []int32) error {
+	if err := s.Seal(snap, table); err != nil {
+		return err
+	}
+	return s.Begin(snap.Gen)
+}
+
+// Begin starts the live WAL after generation gen; roles call Boot.
 func (s *Store) Begin(gen uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -290,7 +291,7 @@ func (s *Store) OnPublish(snap *refresh.Snapshot, table []int32) error {
 		err = s.log.AppendPublish(pub)
 	}
 	if err != nil {
-		return err
+		return s.failed(err)
 	}
 	s.pubsSinceSeg++
 	if s.pubsSinceSeg < s.opts.SegmentEvery {
@@ -298,18 +299,18 @@ func (s *Store) OnPublish(snap *refresh.Snapshot, table []int32) error {
 	}
 	if err := s.sealLocked(snap, table); err != nil {
 		s.segFailures++
-		return err
+		return s.failed(err)
 	}
 	return nil
 }
 
 // Seal writes snap as a segment and rotates the WAL, so a subsequent
 // restart recovers by a pure segment load with no replay. Call on
-// graceful shutdown (after the refresh worker stopped) and at startup,
-// between Load and Begin: there it writes what the directory does not
-// already hold — a cold build, a generation replay derived, a new
-// identity or epoch — and nothing for a generation replay read back
-// whole from the log.
+// graceful shutdown (after the refresh worker stopped); at startup Boot
+// calls it, and there it writes what the directory does not already
+// hold — a cold build, a generation replay derived, a new identity or
+// epoch — and nothing for a generation replay read back whole from the
+// log.
 func (s *Store) Seal(snap *refresh.Snapshot, table []int32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,7 +319,15 @@ func (s *Store) Seal(snap *refresh.Snapshot, table []int32) error {
 		// generation, or read back whole from the log by this boot.
 		return nil
 	}
-	return s.sealLocked(snap, table)
+	return s.failed(s.sealLocked(snap, table))
+}
+
+// failed records err, when there is one, as Stats.LastError.
+func (s *Store) failed(err error) error {
+	if err != nil {
+		s.lastErr = err.Error()
+	}
+	return err
 }
 
 // sealLocked writes the segment, rotates the WAL onto the new base
@@ -470,6 +479,7 @@ func (s *Store) Stats() Stats {
 		WALFsync:        s.opts.FsyncEveryBatch,
 		LoggedBatches:   s.loggedBatches,
 		SegmentFailures: s.segFailures,
+		LastError:       s.lastErr,
 		Recovered:       s.recovered,
 	}
 	if s.log != nil {

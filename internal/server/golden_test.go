@@ -349,11 +349,10 @@ func TestGoldenResponses(t *testing.T) {
 		s.Close()
 		store.Close()
 
-		store = openTestStore(t, dir)
-		defer store.Close()
-		cfg.Persist = store
-		snap := recoverSnapshot(t, store, cfg.OCA)
-		s, err = NewWithSnapshot(snap, cfg)
+		ds := openSingle(t, dir, cfg.OCA)
+		defer ds.Store.Close()
+		cfg.Persist = ds.Store
+		s, err = NewWithSnapshot(ds.Recovered, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,13 +47,6 @@ type localProvider struct {
 	coverErr   error
 	worker     *refresh.Worker
 
-	// persistErr holds the last asynchronous persistence failure (a
-	// publish marker or segment write from the worker goroutine, where
-	// there is no request to fail); /healthz surfaces it and flips the
-	// status to degraded. WAL append failures are synchronous and reject
-	// the batch instead.
-	persistErr atomic.Value // string
-
 	closeMu sync.Mutex
 	closed  bool
 }
@@ -147,7 +140,7 @@ func (p *localProvider) firstSnapshot() (*refresh.Snapshot, error) {
 // RefreshConfig is the refresh.Config the single-graph server's worker
 // rebuilds under, less what only the running server adds: the resolved
 // c and the persistence and cache hooks. cmd/ocad hands the same value
-// to persist.ReplaySingle, so whatever recovery has to derive again is
+// to persist.OpenSingle, so whatever recovery has to derive again is
 // derived under the live worker's rules.
 func (cfg Config) RefreshConfig() refresh.Config {
 	rederive := cfg.RederiveCAfter
@@ -165,6 +158,14 @@ func (cfg Config) RefreshConfig() refresh.Config {
 		RederiveCAfter:       rederive,
 		IncrementalThreshold: cfg.IncrementalThreshold,
 	}
+}
+
+// ShardConfig is RefreshConfig for each shard worker — the in-process
+// router's, and a shard server's (persist.OpenShard) — less the hooks.
+func (cfg Config) ShardConfig() shard.Config {
+	rc := cfg.RefreshConfig()
+	return shard.Config{OCA: rc.OCA, DisableWarmStart: rc.DisableWarmStart, Debounce: rc.Debounce, MaxPending: rc.MaxPending,
+		MaxNodes: rc.MaxNodes, RederiveCAfter: rc.RederiveCAfter, IncrementalThreshold: rc.IncrementalThreshold}
 }
 
 // ensureCover builds the first snapshot and starts the refresh worker,
@@ -191,15 +192,8 @@ func (p *localProvider) ensureCover() error {
 			if snap.Gen == 0 {
 				snap.Gen = 1 // the normalization refresh.New would apply
 			}
-			// Seal the startup snapshot first so the WAL always has a
-			// segment to replay onto (a no-op when a clean shutdown already
-			// sealed this generation), then start the live WAL at its
-			// generation. Only then may mutations be accepted.
-			if p.coverErr = store.Seal(snap, nil); p.coverErr != nil {
-				p.coverErr = fmt.Errorf("server: sealing startup segment: %w", p.coverErr)
-				return
-			}
-			if p.coverErr = store.Begin(snap.Gen); p.coverErr != nil {
+			if err := store.Boot(snap, nil); err != nil {
+				p.coverErr = fmt.Errorf("server: booting the data directory: %w", err)
 				return
 			}
 			rcfg.LogBatch = store.LogBatch
@@ -210,12 +204,10 @@ func (p *localProvider) ensureCover() error {
 			// publishes).
 			rcfg.OnSwap = func(sn *refresh.Snapshot) {
 				if store != nil {
-					if err := store.OnPublish(sn, nil); err != nil {
-						// Publishing proceeds — readers keep getting fresh
-						// state — but the durability gap is surfaced loudly on
-						// /healthz rather than swallowed.
-						p.persistErr.Store(err.Error())
-					}
+					// Publishing proceeds on failure — readers keep getting
+					// fresh state — but the store records the durability gap
+					// and /healthz surfaces it.
+					_ = store.OnPublish(sn, nil)
 				}
 				if p.onSwap != nil {
 					p.onSwap(0, sn)
@@ -252,13 +244,6 @@ func (p *localProvider) snapshot() (*refresh.Snapshot, error) {
 // (/healthz, /v1/search) answer from it.
 func (p *localProvider) unbuiltView() shard.View {
 	return shard.SingleView(&refresh.Snapshot{Graph: p.g, MaxDegree: p.g.MaxDegree()})
-}
-
-// persistError returns the last asynchronous persistence failure (""
-// when persistence is healthy or disabled).
-func (p *localProvider) persistError() string {
-	v, _ := p.persistErr.Load().(string)
-	return v
 }
 
 func (p *localProvider) NumShards() int { return 1 }
@@ -346,22 +331,23 @@ func (p *localProvider) Statuses() []shard.WorkerStatus {
 
 // Close stops the refresh worker and, with a store, seals the final
 // snapshot so the next start recovers with a pure segment load, no WAL
-// replay. Reads keep serving the last published snapshot.
+// replay, then closes the store. Reads keep serving the last published
+// snapshot.
 func (p *localProvider) Close() {
 	p.closeMu.Lock()
 	p.closed = true
 	w := p.worker
 	p.closeMu.Unlock()
-	if w == nil {
-		return
-	}
-	w.Close()
-	if store := p.cfg.Persist; store != nil && p.coverReady.Load() {
-		// The worker is already stopped, so this snapshot is final.
-		// Failures only cost the next start a replay; surface them like
-		// async persist errors.
-		if err := store.Seal(w.Snapshot(), nil); err != nil {
-			p.persistErr.Store(err.Error())
+	store := p.cfg.Persist
+	if w != nil {
+		w.Close()
+		if store != nil && p.coverReady.Load() {
+			// The worker is stopped, so this snapshot is final. A failure
+			// only costs the next start a replay; the store records it.
+			_ = store.Seal(w.Snapshot(), nil)
 		}
+	}
+	if store != nil {
+		store.Close()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/persist"
 	"repro/internal/refresh"
 )
@@ -22,23 +23,23 @@ func openTestStore(t *testing.T, dir string) *persist.Store {
 	return st
 }
 
-// recoverSnapshot runs the full startup recovery sequence a fresh
-// process would: scan the directory, replay the WAL tail, hand back the
-// pre-shutdown snapshot (nil on a cold start).
-func recoverSnapshot(t *testing.T, store *persist.Store, oca core.Options) *refresh.Snapshot {
+// openSingle boots the single-graph role's data directory the way a
+// fresh process does (persist.OpenSingle): scan it, replay the WAL
+// tail, and hand back the pre-shutdown snapshot — or, on a cold start,
+// the two-clique input graph.
+func openSingle(t *testing.T, dir string, oca core.Options) *persist.Single {
 	t.Helper()
-	st, err := store.Load()
+	ds, err := persist.OpenSingle(persist.Options{Dir: dir}, refresh.Config{OCA: oca}, func(seg *persist.Segment) (*graph.Graph, int, int, error) {
+		if seg != nil {
+			return nil, seg.GlobalNodes, seg.MaxNodes, nil
+		}
+		g := twoCliqueGraph(t)
+		return g, g.N(), 0, nil
+	})
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("OpenSingle: %v", err)
 	}
-	snap, err := persist.ReplaySingle(st, persist.ReplayConfig{Refresh: refresh.Config{OCA: oca}})
-	if err != nil {
-		t.Fatalf("ReplaySingle: %v", err)
-	}
-	if st.Segment != nil {
-		t.Cleanup(func() { st.Segment.Close() })
-	}
-	return snap
+	return ds
 }
 
 // TestServerPersistRestartRoundTrip drives the durability cycle through
@@ -50,11 +51,12 @@ func TestServerPersistRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	oca := core.Options{Seed: 1, C: 0.5}
 
-	store := openTestStore(t, dir)
-	if snap := recoverSnapshot(t, store, oca); snap != nil {
-		t.Fatalf("cold start returned snapshot %+v", snap)
+	ds := openSingle(t, dir, oca)
+	if ds.Recovered != nil || ds.Graph == nil {
+		t.Fatalf("cold start returned snapshot %+v, input graph %v", ds.Recovered, ds.Graph)
 	}
-	s, err := New(twoCliqueGraph(t), Config{OCA: oca, Persist: store})
+	store := ds.Store
+	s, err := New(ds.Graph, Config{OCA: oca, Persist: store})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -86,8 +88,8 @@ func TestServerPersistRestartRoundTrip(t *testing.T) {
 
 	// Restart: recovery is a pure segment load (no WAL tail after a
 	// clean shutdown) and the served generation does not regress.
-	store2 := openTestStore(t, dir)
-	snap := recoverSnapshot(t, store2, oca)
+	ds2 := openSingle(t, dir, oca)
+	store2, snap := ds2.Store, ds2.Recovered
 	if snap == nil || snap.Gen != 2 {
 		t.Fatalf("recovered snapshot = %+v, want generation 2", snap)
 	}
@@ -119,8 +121,8 @@ func TestServerPersistRestartRoundTrip(t *testing.T) {
 	}
 	store2.Close() // kill: the server never seals
 
-	store3 := openTestStore(t, dir)
-	snap3 := recoverSnapshot(t, store3, oca)
+	ds3 := openSingle(t, dir, oca)
+	store3, snap3 := ds3.Store, ds3.Recovered
 	defer store3.Close()
 	if snap3 == nil || snap3.Gen != 3 {
 		t.Fatalf("post-crash snapshot = %+v, want generation 3", snap3)

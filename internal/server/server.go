@@ -104,17 +104,14 @@ type Config struct {
 	// the default — keeps every rebuild on the full path. Per shard
 	// when sharded.
 	IncrementalThreshold float64
-	// Persist, when set, makes the served state durable: every accepted
-	// /v1/edges batch is logged to the store's WAL before it is
-	// acknowledged, published generations append publish markers (and
-	// periodically seal snapshot segments), the startup snapshot is
-	// sealed so the WAL always replays onto something, and Close seals a
-	// final segment so a clean restart recovers without replay. The
-	// caller owns the store's lifecycle: Open (and Load/ReplaySingle for
-	// recovery) before constructing the server, Close after Server.Close.
-	// Unsupported with in-process sharding (Shards > 1) and the
-	// provider-backed router role — per-shard durability lives in the
-	// shard server processes.
+	// Persist, when set, makes the served state durable: the first
+	// generation boots the store (persist.Store.Boot), every accepted
+	// /v1/edges batch is logged before it is acknowledged, every publish
+	// is logged, and Close seals a final segment — a clean restart
+	// replays nothing — and closes the store. Open it with
+	// persist.OpenSingle, which recovers. Unsupported with in-process
+	// sharding (Shards > 1) and the router role: per-shard durability
+	// lives in the shard server processes.
 	Persist *persist.Store
 	// SearchCacheSize bounds the generation-keyed /v1/search result
 	// cache, in entries. 0 means the default (4096); negative disables
@@ -195,20 +192,7 @@ func newSharded(g *graph.Graph, cfg Config) (*Server, error) {
 		// cannot replay. Durability is a shard-server deployment feature.
 		return nil, fmt.Errorf("server: persistence is not supported with %d in-process shards; run shard servers with their own data directories", cfg.Shards)
 	}
-	rcfg := shard.Config{
-		OCA:                  cfg.OCA,
-		DisableWarmStart:     cfg.DisableWarmStart,
-		Debounce:             cfg.RefreshDebounce,
-		MaxPending:           cfg.MaxPendingMutations,
-		MaxNodes:             cfg.MaxNodes,
-		RederiveCAfter:       cfg.RederiveCAfter,
-		IncrementalThreshold: cfg.IncrementalThreshold,
-	}
-	if cfg.OCA.C != 0 {
-		// An explicitly pinned c is never re-derived behind the
-		// operator's back.
-		rcfg.RederiveCAfter = 0
-	}
+	rcfg := cfg.ShardConfig()
 	cache := cacheFromConfig(cfg)
 	if cache != nil {
 		// Each shard worker announces its publishes so the cache can
@@ -264,7 +248,7 @@ func NewWithCover(g *graph.Graph, cv *cover.Cover, cfg Config) (*Server, error) 
 }
 
 // NewWithSnapshot returns a Server that serves an already-built
-// snapshot — the recovery path: persist.ReplaySingle hands back the
+// snapshot — the recovery path: persist.OpenSingle hands back the
 // pre-shutdown state and the server starts from it without an OCA run.
 // Generation and sequence numbering continue from the snapshot's own,
 // so the restart is invisible to generation-tracking clients. The
@@ -489,8 +473,9 @@ type healthzResponse struct {
 	Requests *requestsSummary `json:"requests,omitempty"`
 	// Persistence (servers with a data directory only) is the durability
 	// state: retained segments, the live WAL, and what startup recovery
-	// found. A non-empty LastPersistError (an async publish-marker or
-	// segment-write failure) flips Status to "degraded".
+	// found. A non-empty LastPersistError (Stats.LastError: an async
+	// publish-record or segment-write failure) flips Status to
+	// "degraded".
 	Persistence      *persist.Stats `json:"persistence,omitempty"`
 	LastPersistError string         `json:"last_persist_error,omitempty"`
 	// SearchCache summarizes the seeded-search result cache: occupancy
@@ -566,10 +551,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if p := s.cfg.Persist; p != nil {
 		st := p.Stats()
-		resp.Persistence = &st
-		if lp, ok := s.sp.(*localProvider); ok {
-			resp.LastPersistError = lp.persistError()
-		}
+		resp.Persistence, resp.LastPersistError = &st, st.LastError
 		if resp.LastPersistError != "" {
 			resp.Status = "degraded"
 		}

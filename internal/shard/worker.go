@@ -162,7 +162,8 @@ func NewWorkerFromSnapshot(snap *refresh.Snapshot, table []int32, shardID, k int
 	w := &Worker{id: shardID, k: k, maxNodes: maxNodes}
 	if err := w.initMap(cfg, k); err != nil {
 		// K was validated by every caller already; an invalid recovered
-		// map is caught by cmd/ocad's boot validation before this point.
+		// map is caught by persist.OpenShard's boot validation before
+		// this point.
 		panic(err)
 	}
 	w.locals = append([]int32(nil), table...)

@@ -21,9 +21,9 @@ type ServerConfig struct {
 	// GlobalNodes is the node count of the global graph the shard was
 	// split from; MaxNodes is the global growth ceiling. The router
 	// handshake cross-checks both across all K servers, so a restarted
-	// shard must advertise what it advertised before: cmd/ocad feeds
-	// both from the recovered segment's identity, not from a re-read of
-	// the input file.
+	// shard must advertise what it advertised before: persist.OpenShard
+	// resolves both from the recovered segment's identity, not from a
+	// re-read of the input file.
 	GlobalNodes int
 	MaxNodes    int
 	// MaxRequestBody caps apply/lookup body sizes. Default 32 MiB (a
@@ -31,8 +31,9 @@ type ServerConfig struct {
 	MaxRequestBody int64
 	// OnMapChange, when set, is called after a final (non-pending)
 	// partition-map install has been adopted and flushed — the
-	// persistence hook: cmd/ocad records the map and seals a segment so
-	// a crash right after the flip recovers at the new epoch. An error
+	// persistence hook (persist.Shard.OnMapChange): record the map and
+	// seal a segment so a crash right after the flip recovers at the new
+	// epoch. An error
 	// fails the install request (the map stays adopted in memory).
 	OnMapChange func(pm *shard.PartitionMap) error
 }
