@@ -2,14 +2,14 @@
 # same targets, so a green `make check` locally means a green CI run.
 
 GO ?= go
-RACE_PKGS := ./internal/core/... ./internal/search/... ./internal/graph/... ./internal/server/... ./internal/index/... ./internal/refresh/... ./internal/shard/... ./internal/postprocess/... ./internal/transport/... ./internal/wal/... ./internal/persist/... ./internal/resilience/... ./internal/faultinject/...
+RACE_PKGS := ./internal/core/... ./internal/search/... ./internal/graph/... ./internal/server/... ./internal/index/... ./internal/refresh/... ./internal/shard/... ./internal/postprocess/... ./internal/transport/... ./internal/wal/... ./internal/segment/... ./internal/persist/... ./internal/resilience/... ./internal/faultinject/...
 # Packages whose statement coverage must stay at or above COVER_MIN:
 # the concurrent serving layer, where untested paths hide races, plus
 # the correctness-critical incremental-rebuild primitives (index
 # patching, incremental merge), the multi-process shard transport, and
-# the durability layer (WAL framing, segment files, crash recovery), and
-# the spectral kernel every cold boot derives c with.
-COVER_PKGS := repro/internal/spectral repro/internal/server repro/internal/refresh repro/internal/shard repro/internal/index repro/internal/postprocess repro/internal/transport repro/internal/wal repro/internal/persist repro/internal/resilience repro/internal/faultinject
+# the durability layer (WAL framing, the segment codec, crash
+# recovery), and the spectral kernel every cold boot derives c with.
+COVER_PKGS := repro/internal/spectral repro/internal/server repro/internal/refresh repro/internal/shard repro/internal/index repro/internal/postprocess repro/internal/transport repro/internal/wal repro/internal/segment repro/internal/persist repro/internal/resilience repro/internal/faultinject
 COVER_MIN := 75
 
 .PHONY: build test test-slow race vet fmt-check bench-smoke bench-shard bench-e2e-smoke fuzz-smoke cover-check examples test-cluster test-chaos test-chaos-smoke test-migrate-smoke test-shard-compose test-core-count test-mirror test-restart run-cluster check clean
@@ -43,7 +43,7 @@ fmt-check:
 
 # One iteration of every benchmark — checks they still compile and run,
 # and emits the raw output for trend tooling (BenchmarkMirrorSync's
-# full/chain legs are the mirror-resync budget line, with wire bytes;
+# full/chain/chain4 legs are the mirror-resync budget line, with wire bytes;
 # BenchmarkDeltaApply and BenchmarkPublishStream the per-publish graph
 # copy and a K=1 publish, with seeds/publish). Redirect instead of tee so
 # a failing benchmark fails the target (sh has no pipefail).
@@ -72,7 +72,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionMap$$' -fuzztime $(FUZZTIME) ./internal/shard
-	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotChain$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime $(FUZZTIME) ./internal/segment
+	$(GO) test -run '^$$' -fuzz '^FuzzChainExcerpt$$' -fuzztime $(FUZZTIME) ./internal/transport
 
 # Per-package coverage summary, failing if any COVER_PKGS package drops
 # below COVER_MIN% of statements. Redirect instead of tee so a test
@@ -141,11 +142,12 @@ test-core-count:
 # Snapshot mirrors fed chains of publishes, repeated under the race
 # detector: the chain-vs-full equivalence property (its -short size),
 # the wire compatibility legs both ways, the miss fallback, hostile
-# links, and the ring and fold they rest on — green on every run, not
+# chains, a replica re-serving its primary's chain bytes, the segment
+# codec, and the ring and fold they rest on — green on every run, not
 # most.
-MIRROR_TESTS := 'TestMirrorChainEqualsFull|TestSnapshotWithoutAcceptIsFullStream|TestMirrorReadsFullStreamFromServerIgnoringAccept|TestChainAfterFlushNeverMisses|TestChainMissFallsBackAndCounts|TestHostileChainRejected|TestWorkerChainAfterFlush|TestRing|TestFoldStepIsAtomic'
+MIRROR_TESTS := 'TestMirrorChainEqualsFull|TestSnapshotWithoutAcceptIsFullStream|TestMirrorReadsFullStreamFromServerIgnoringAccept|TestChainAfterFlushNeverMisses|TestChainMissFallsBackAndCounts|TestHostileChainRejected|TestReplicaReservesPrimaryChain|TestWorkerChainAfterFlush|TestRing|TestFoldStepIsAtomic|TestSegmentEncodeDecode|TestSegmentDecodeRejects'
 test-mirror:
-	$(GO) test -race -short -count=20 -run $(MIRROR_TESTS) ./internal/persist ./internal/transport ./internal/shard
+	$(GO) test -race -short -count=20 -run $(MIRROR_TESTS) ./internal/persist ./internal/transport ./internal/shard ./internal/segment
 
 # The restart suites, repeated: warm boots of real ocad processes (K=1
 # and -serve-shard) over directories a SIGKILL left, the parent-commit

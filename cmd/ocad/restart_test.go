@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/persist"
+	"repro/internal/segment"
 	"repro/internal/transport"
 )
 
@@ -380,7 +381,7 @@ func TestEmptyDataDirStillNeedsInput(t *testing.T) {
 // TestBootNodes pins how the growth ceiling resolves against a
 // recovered segment, for both roles: it never shrinks.
 func TestBootNodes(t *testing.T) {
-	seg := &persist.Segment{Path: "d/" + persist.SegmentName(1), GlobalNodes: 10, MaxNodes: 80}
+	seg := &persist.Segment{Path: "d/" + persist.SegmentName(1), Data: segment.Data{Meta: segment.Meta{GlobalNodes: 10, MaxNodes: 80}}}
 	for _, tc := range []struct{ flag, want int }{
 		{-1, 80}, // auto reuses the persisted ceiling
 		{0, 80},
@@ -396,7 +397,7 @@ func TestBootNodes(t *testing.T) {
 	// A segment without global_nodes sends the boot to the input file,
 	// and still floors the ceiling.
 	in := writeGraph(t)
-	old := &persist.Segment{Path: "d/" + persist.SegmentName(1), MaxNodes: 500}
+	old := &persist.Segment{Path: "d/" + persist.SegmentName(1), Data: segment.Data{Meta: segment.Meta{MaxNodes: 500}}}
 	for _, tc := range []struct {
 		seg        *persist.Segment
 		flag, want int

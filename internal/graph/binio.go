@@ -83,36 +83,45 @@ func ReadBinaryLimits(r io.Reader, lim ReadLimits) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %v", err)
 	}
-	// Validate CSR invariants.
-	if offsets[0] != 0 || offsets[n] != halfEdges {
-		return nil, fmt.Errorf("graph: corrupt offsets (first=%d, last=%d, want 0, %d)", offsets[0], offsets[n], halfEdges)
+	if err := CheckCSR(offsets, adj); err != nil {
+		return nil, err
+	}
+	return &Graph{offsets: offsets, adj: adj}, nil
+}
+
+// CheckCSR validates CSR arrays of untrusted origin — what ReadBinary
+// read, or arrays aliasing a buffer a peer sent — before NewFromCSR
+// serves them: offsets from 0 to len(adj) and monotone, every adjacency
+// list in range, strictly ascending and loop-free, and every edge
+// listed from both ends.
+func CheckCSR(offsets []int64, adj []int32) error {
+	n, halfEdges := int64(len(offsets)-1), int64(len(adj))
+	if n < 0 || offsets[0] != 0 || offsets[n] != halfEdges {
+		return fmt.Errorf("graph: corrupt offsets (%d entries, want first 0 and last %d)", len(offsets), halfEdges)
 	}
 	// Validate all offsets before slicing with any of them: a corrupt
 	// intermediate offset can be monotone so far yet far beyond len(adj),
 	// and slicing with it would panic before the check reached it.
 	for v := int64(0); v < n; v++ {
 		if offsets[v] > offsets[v+1] || offsets[v+1] > halfEdges {
-			return nil, fmt.Errorf("graph: offsets not monotone at node %d", v)
+			return fmt.Errorf("graph: offsets not monotone at node %d", v)
 		}
 	}
 	for v := int64(0); v < n; v++ {
 		list := adj[offsets[v]:offsets[v+1]]
 		for i, w := range list {
 			if w < 0 || int64(w) >= n {
-				return nil, fmt.Errorf("graph: adjacency of node %d out of range: %d", v, w)
+				return fmt.Errorf("graph: adjacency of node %d out of range: %d", v, w)
 			}
 			if i > 0 && list[i-1] >= w {
-				return nil, fmt.Errorf("graph: adjacency of node %d not strictly sorted", v)
+				return fmt.Errorf("graph: adjacency of node %d not strictly sorted", v)
 			}
 			if int64(w) == v {
-				return nil, fmt.Errorf("graph: node %d has a self loop", v)
+				return fmt.Errorf("graph: node %d has a self loop", v)
 			}
 		}
 	}
-	if err := checkSymmetric(offsets, adj); err != nil {
-		return nil, err
-	}
-	return &Graph{offsets: offsets, adj: adj}, nil
+	return checkSymmetric(offsets, adj)
 }
 
 // checkSymmetric verifies that every half-edge v→w has its twin w→v, in
@@ -149,7 +158,7 @@ const readChunk = 1 << 20 // entries per chunked read
 
 func readInt64Chunked(r io.Reader, total int64) ([]int64, error) {
 	out := make([]int64, 0, min64(total, readChunk))
-	buf := make([]int64, readChunk)
+	buf := make([]int64, min64(total, readChunk))
 	for int64(len(out)) < total {
 		want := total - int64(len(out))
 		if want > readChunk {
@@ -166,7 +175,7 @@ func readInt64Chunked(r io.Reader, total int64) ([]int64, error) {
 
 func readInt32Chunked(r io.Reader, total int64) ([]int32, error) {
 	out := make([]int32, 0, min64(total, readChunk))
-	buf := make([]int32, readChunk)
+	buf := make([]int32, min64(total, readChunk))
 	for int64(len(out)) < total {
 		want := total - int64(len(out))
 		if want > readChunk {

@@ -12,11 +12,12 @@
 // whole graph.
 //
 // The package owns file placement, rotation, retention and the
-// recovery scan; the WAL record framing lives in internal/wal and the
-// graph payload reuses internal/graph's binary CSR wire format
-// verbatim. docs/PERSISTENCE.md is the normative on-disk
+// recovery scan; the WAL record framing lives in internal/wal, the
+// segment encoding in internal/segment — both also what a shard server
+// ships its mirrors — and the fold that reads a WAL tail back in
+// internal/shard. docs/PERSISTENCE.md is the normative on-disk
 // specification; TestPersistenceDocSync fails when it and the
-// constants here diverge.
+// constants in those packages diverge.
 //
 // Crash-safety model: segments become visible only by atomic rename
 // after an fsync, and carry a terminating ENDS section, so a partial

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/segment"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -35,11 +37,11 @@ func linesFromDoc(t *testing.T, doc, marker string) []string {
 	return lines
 }
 
-// metaKeys lists segMeta's JSON keys in field order the way the spec
+// metaKeys lists segment.Meta's JSON keys in field order the way the spec
 // writes them: the key, then "optional" when it is omitted at zero.
 func metaKeys() []string {
 	var keys []string
-	rt := reflect.TypeOf(segMeta{})
+	rt := reflect.TypeOf(segment.Meta{})
 	for i := 0; i < rt.NumField(); i++ {
 		name, opts, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
 		if opts == "omitempty" {
@@ -68,7 +70,7 @@ func TestPersistenceDocSync(t *testing.T) {
 	}{
 		{"<!-- persist:magics -->", []string{
 			fmt.Sprintf("%s %d", wal.MagicLog[:], wal.VersionLog),
-			fmt.Sprintf("%s %d", MagicSegment[:], VersionSegment),
+			fmt.Sprintf("%s %d", segment.Magic[:], segment.Version),
 		}},
 		{"<!-- persist:records -->", []string{
 			fmt.Sprintf("%d edge-batch", wal.RecEdgeBatch),
@@ -76,13 +78,13 @@ func TestPersistenceDocSync(t *testing.T) {
 			fmt.Sprintf("%d cover-patch", wal.RecCoverPatch),
 		}},
 		{"<!-- persist:patch-modes -->", []string{
-			fmt.Sprintf("%d %s", wal.PatchFull, patchModes[wal.PatchFull]),
-			fmt.Sprintf("%d %s", wal.PatchIncremental, patchModes[wal.PatchIncremental]),
-			fmt.Sprintf("%d %s", wal.PatchFastpath, patchModes[wal.PatchFastpath]),
+			fmt.Sprintf("%d %s", wal.PatchFull, shard.PatchModes[wal.PatchFull]),
+			fmt.Sprintf("%d %s", wal.PatchIncremental, shard.PatchModes[wal.PatchIncremental]),
+			fmt.Sprintf("%d %s", wal.PatchFastpath, shard.PatchModes[wal.PatchFastpath]),
 		}},
 		{"<!-- persist:sections -->", []string{
-			string(SecMeta[:]), string(SecGraph[:]), string(SecCover[:]),
-			string(SecTable[:]), string(SecEnd[:]),
+			string(segment.SecMeta[:]), string(segment.SecGraph[:]), string(segment.SecCover[:]),
+			string(segment.SecTable[:]), string(segment.SecEnd[:]),
 		}},
 		{"<!-- persist:filenames -->", []string{
 			SegmentPattern,

@@ -21,18 +21,16 @@ import (
 type State struct {
 	// Segment is the newest valid segment (nil: cold start).
 	Segment *Segment
-	// Tail holds the WAL batches with Seq beyond the segment's, in
-	// order. Replaying them through the incremental engine reproduces
-	// the pre-crash state in O(batch) per record.
-	Tail []wal.EdgeBatch
-	// Publishes are the publish markers beyond the segment, in order.
-	// They record how the live worker grouped Tail into rebuilds.
-	Publishes []wal.Publish
-	// Patches are the cover patches beyond the segment, in order: what
-	// each described publish turned the cover into. Replay folds the
-	// longest prefix of Publishes that each have one and re-derives only
-	// what follows (see foldTail).
-	Patches []wal.CoverPatch
+	// Excerpt is the WAL beyond the segment, each kind of record in
+	// order: Tail the batches with Seq beyond the segment's — replaying
+	// them through the incremental engine reproduces the pre-crash state
+	// in O(batch) per record; Publishes the publish markers beyond it,
+	// which record how the live worker grouped Tail into rebuilds;
+	// Patches the cover patches beyond it, what each described publish
+	// turned the cover into. Replay folds the longest prefix of
+	// Publishes that each have one and re-derives only what follows (see
+	// foldTail).
+	wal.Excerpt
 	// LastGen/LastSeq are the newest published generation and its op
 	// count according to the publish markers — at least the segment's
 	// own. The recovered snapshot's generation is forced to LastGen so
@@ -57,18 +55,9 @@ func (st *State) PartitionMap() (*shard.PartitionMap, error) {
 	if st.Segment == nil {
 		return nil, nil
 	}
-	if len(st.Segment.PMap) == 0 {
-		if st.Segment.Epoch != 0 {
-			return nil, fmt.Errorf("persist: %s records partition epoch %d but carries no map — segment corrupt; remove it to fall back to an older one", st.Segment.Path, st.Segment.Epoch)
-		}
-		return nil, nil
-	}
-	pm, err := shard.DecodePartitionMap(st.Segment.PMap)
+	pm, err := st.Segment.PartitionMap()
 	if err != nil {
-		return nil, fmt.Errorf("persist: %s: decoding persisted partition map: %w", st.Segment.Path, err)
-	}
-	if pm.Epoch != st.Segment.Epoch {
-		return nil, fmt.Errorf("persist: %s: partition map is at epoch %d but segment meta records %d — segment corrupt; remove it to fall back to an older one", st.Segment.Path, pm.Epoch, st.Segment.Epoch)
+		return nil, fmt.Errorf("persist: %s %w — segment corrupt; remove it to fall back to an older one", st.Segment.Path, err)
 	}
 	return pm, nil
 }
@@ -124,35 +113,28 @@ func (s *Store) Load() (*State, error) {
 			}
 			st.Stats.TornTail = true
 		}
-		for _, rec := range recs {
-			switch rec.Type {
-			case wal.RecEdgeBatch:
-				b, err := wal.DecodeEdgeBatch(rec.Payload)
-				if err != nil {
-					return nil, fmt.Errorf("persist: WAL %d: %w", gen, err)
-				}
-				if b.Seq > baseSeq {
-					st.Tail = append(st.Tail, b)
-					st.Stats.ReplayedBatches++
-					st.Stats.ReplayedOps += len(b.Add) + len(b.Remove)
-				}
-			case wal.RecPublish:
-				p, err := wal.DecodePublish(rec.Payload)
-				if err != nil {
-					return nil, fmt.Errorf("persist: WAL %d: %w", gen, err)
-				}
-				if p.Seq > baseSeq {
-					st.Publishes = append(st.Publishes, p)
-				}
-				if p.Gen > st.LastGen {
-					st.LastGen, st.LastSeq = p.Gen, p.Seq
-				}
-			case wal.RecCoverPatch:
-				// A patch that does not decode is a patch that is absent:
-				// its publish is re-derived.
-				if cp, err := wal.DecodeCoverPatch(rec.Payload); err == nil && cp.Seq > baseSeq {
-					st.Patches = append(st.Patches, cp)
-				}
+		x, err := wal.Scan(recs)
+		if err != nil {
+			return nil, fmt.Errorf("persist: WAL %d: %w", gen, err)
+		}
+		for _, b := range x.Tail {
+			if b.Seq > baseSeq {
+				st.Tail = append(st.Tail, b)
+				st.Stats.ReplayedBatches++
+				st.Stats.ReplayedOps += len(b.Add) + len(b.Remove)
+			}
+		}
+		for _, p := range x.Publishes {
+			if p.Seq > baseSeq {
+				st.Publishes = append(st.Publishes, p)
+			}
+			if p.Gen > st.LastGen {
+				st.LastGen, st.LastSeq = p.Gen, p.Seq
+			}
+		}
+		for _, cp := range x.Patches {
+			if cp.Seq > baseSeq {
+				st.Patches = append(st.Patches, cp)
 			}
 		}
 	}
@@ -233,9 +215,10 @@ func replayGroups(tail []wal.EdgeBatch, pubs []wal.Publish, apply func(wal.EdgeB
 
 // foldTail reads the described prefix of the tail back from the log
 // instead of re-deriving it: for the longest run of publish markers
-// that each have a fitting cover patch, shard.Fold over the segment —
-// the patches applied to its cover in publish order, one graph.Delta
-// over all their edge batches, table growth by shard.ReconcileTable.
+// that each have a fitting cover patch, shard.Fold.FoldLog over the
+// segment — the patches applied to its cover in publish order, one
+// graph.Delta over all their edge batches, table growth by
+// shard.ReconcileTable.
 // The result is the last folded generation as a bare snapshot — no
 // index, no stats, no Aux: the serving layer assembles once — with its
 // translation table and the number of tail batches and markers
@@ -248,30 +231,8 @@ func replayGroups(tail []wal.EdgeBatch, pubs []wal.Publish, apply func(wal.EdgeB
 // the engine's, starting from the folded snapshot.
 func foldTail(st *State, maxNodes int) (snap *refresh.Snapshot, table []int32, batches, pubs int) {
 	seg := st.Segment
-	patches := make(map[uint64]*wal.CoverPatch, len(st.Patches))
-	for i := range st.Patches {
-		patches[st.Patches[i].Gen] = &st.Patches[i]
-	}
 	f := shard.NewFold(seg.Graph, seg.Cover, seg.Info.Gen, seg.Table, maxNodes)
-	for _, pub := range st.Publishes {
-		cp := patches[pub.Gen]
-		if cp == nil || cp.Seq != pub.Seq {
-			break
-		}
-		end := batches
-		for end < len(st.Tail) && st.Tail[end].Seq <= pub.Seq {
-			end++
-		}
-		group := make([]shard.Batch, 0, end-batches)
-		for _, b := range st.Tail[batches:end] {
-			group = append(group, shard.Batch{Base: b.Base, NewLocals: b.NewLocals, Add: b.Add, Remove: b.Remove})
-		}
-		if f.Step(pub.Gen, group, 0, decodePatch(*cp)) != nil {
-			break
-		}
-		batches = end
-		pubs++
-	}
+	batches, pubs, _ = f.FoldLog(&st.Excerpt, false)
 	if pubs == 0 {
 		return nil, nil, 0, 0
 	}

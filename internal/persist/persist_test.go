@@ -10,6 +10,7 @@ import (
 	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/refresh"
+	"repro/internal/segment"
 	"repro/internal/wal"
 )
 
@@ -55,7 +56,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	table := []int32{5, 8, 2, 9, 0, 1, 3, 4, 6, 7}
 	path := filepath.Join(t.TempDir(), SegmentName(3))
 	err := WriteSegment(path, SegmentData{
-		Info: snap.Info(), Shard: 1, Shards: 4, MaxNodes: 64, GlobalNodes: 37,
+		Meta:  segment.Meta{Info: snap.Info(), Shard: 1, Shards: 4, MaxNodes: 64, GlobalNodes: 37},
 		Graph: snap.Graph, Cover: snap.Cover, Table: table,
 	})
 	if err != nil {
@@ -89,13 +90,17 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// The segment header (magic, version) and section header (tag,
+// reserved, length, CRC, pad) sizes docs/PERSISTENCE.md specifies.
+const segHeaderSize, secHeaderSize = 8, 24
+
 // TestSegmentCorruption is the crash-injection table: every way a
 // segment file can be damaged must be detected at load, never served.
 func TestSegmentCorruption(t *testing.T) {
 	snap := testSnap(2, 5)
 	dir := t.TempDir()
 	path := filepath.Join(dir, SegmentName(2))
-	if err := WriteSegment(path, SegmentData{Info: snap.Info(), Graph: snap.Graph, Cover: snap.Cover}); err != nil {
+	if err := WriteSegment(path, SegmentData{Meta: segment.Meta{Info: snap.Info()}, Graph: snap.Graph, Cover: snap.Cover}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -400,7 +405,7 @@ func TestParentCommitSegmentDecodes(t *testing.T) {
 func TestMetaOmitsUnknownGlobalNodes(t *testing.T) {
 	snap := testSnap(1, 0)
 	path := filepath.Join(t.TempDir(), SegmentName(1))
-	if err := WriteSegment(path, SegmentData{Info: snap.Info(), MaxNodes: 80, Graph: snap.Graph, Cover: snap.Cover}); err != nil {
+	if err := WriteSegment(path, SegmentData{Meta: segment.Meta{Info: snap.Info(), MaxNodes: 80}, Graph: snap.Graph, Cover: snap.Cover}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/cover"
 	"repro/internal/refresh"
+	"repro/internal/segment"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -212,13 +212,19 @@ func listByPattern(dir, pattern, ext string) []uint64 {
 
 // Boot makes snap, the generation a role is about to serve, the base of
 // the live WAL: it seals snap (see Seal: only what the directory lacks)
-// so the WAL always replays onto a segment, then begins the WAL. Call
-// it once after recovery, before the first mutation is accepted.
+// so the WAL always replays onto a segment, then begins the WAL — once:
+// a seal that wrote a segment has already begun it. Call it once after
+// recovery, before the first mutation is accepted.
 func (s *Store) Boot(snap *refresh.Snapshot, table []int32) error {
 	if err := s.Seal(snap, table); err != nil {
 		return err
 	}
-	return s.Begin(snap.Gen)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log != nil && s.logBase == snap.Gen {
+		return nil
+	}
+	return s.beginLocked(snap.Gen)
 }
 
 // Begin starts the live WAL after generation gen; roles call Boot.
@@ -286,7 +292,7 @@ func (s *Store) OnPublish(snap *refresh.Snapshot, table []int32) error {
 	pub := wal.Publish{Gen: snap.Gen, Seq: snap.Seq}
 	var err error
 	if snap.Patch != nil {
-		err = s.log.AppendPatchedPublish(encodePatch(pub, snap.Patch))
+		err = s.log.AppendPatchedPublish(shard.PatchRecord(pub, snap.Patch))
 	} else {
 		err = s.log.AppendPublish(pub)
 	}
@@ -337,16 +343,9 @@ func (s *Store) failed(err error) error {
 func (s *Store) sealLocked(snap *refresh.Snapshot, table []int32) error {
 	path := filepath.Join(s.opts.Dir, SegmentName(snap.Gen))
 	err := WriteSegment(path, SegmentData{
-		Info:        snap.Info(),
-		Shard:       s.opts.Shard,
-		Shards:      s.opts.Shards,
-		MaxNodes:    s.opts.MaxNodes,
-		GlobalNodes: s.opts.GlobalNodes,
-		Epoch:       s.epoch,
-		PMap:        s.pmap,
-		Graph:       snap.Graph,
-		Cover:       snap.Cover,
-		Table:       table,
+		Meta: segment.Meta{Info: snap.Info(), Shard: s.opts.Shard, Shards: s.opts.Shards, MaxNodes: s.opts.MaxNodes,
+			GlobalNodes: s.opts.GlobalNodes, Epoch: s.epoch, PMap: s.pmap},
+		Graph: snap.Graph, Cover: snap.Cover, Table: table,
 	})
 	if err != nil {
 		return fmt.Errorf("persist: writing segment %d: %w", snap.Gen, err)
@@ -421,41 +420,6 @@ func (s *Store) OpenGeneration(gen uint64) (*Segment, error) {
 		return nil, err
 	}
 	return seg, nil
-}
-
-// encodePatch turns a snapshot's cover patch into its WAL record.
-func encodePatch(pub wal.Publish, p *refresh.Patch) wal.CoverPatch {
-	cp := wal.CoverPatch{
-		Publish: pub, Mode: byte(slices.Index(patchModes[:], p.Mode)), Carried: p.Carried, C: p.C,
-		Dirty: uint32(p.DirtyNodes), Removed: p.Removed,
-	}
-	if len(p.Fresh) > 0 {
-		cp.Fresh = make([][]int32, len(p.Fresh))
-		for i, c := range p.Fresh {
-			cp.Fresh[i] = c
-		}
-	}
-	return cp
-}
-
-// decodePatch is encodePatch's inverse.
-func decodePatch(cp wal.CoverPatch) *refresh.Patch {
-	p := &refresh.Patch{Mode: patchModes[cp.Mode], Carried: cp.Carried, C: cp.C, DirtyNodes: int(cp.Dirty), Removed: cp.Removed}
-	if len(cp.Fresh) > 0 {
-		p.Fresh = make([]cover.Community, len(cp.Fresh))
-		for i, c := range cp.Fresh {
-			p.Fresh[i] = c
-		}
-	}
-	return p
-}
-
-// patchModes names refresh's rebuild modes by the WAL's mode byte
-// (wal.DecodeCoverPatch rejects bytes beyond it).
-var patchModes = [...]string{
-	wal.PatchFull:        refresh.ModeFull,
-	wal.PatchIncremental: refresh.ModeIncremental,
-	wal.PatchFastpath:    refresh.ModeFastpath,
 }
 
 func (s *Store) checkIdentity(seg *Segment) error {

@@ -1,6 +1,12 @@
 package refresh
 
-import "repro/internal/cover"
+import (
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/cover"
+	"repro/internal/graph"
+)
 
 // Patch is what one publish changed in the cover, relative to the
 // generation before it: the cover-level twin of PatchContext, holding
@@ -57,6 +63,14 @@ func (p *Patch) ApplyCover(prev *cover.Cover) *cover.Cover {
 	if len(p.Removed) == 0 && len(p.Fresh) == 0 {
 		return prev
 	}
+	cv := p.patchOrder(prev)
+	cv.SortBySize()
+	return cv
+}
+
+// patchOrder is the cover p turns prev into before the canonical sort:
+// prev's communities minus Removed, in order, then Fresh.
+func (p *Patch) patchOrder(prev *cover.Cover) *cover.Cover {
 	comms := make([]cover.Community, 0, prev.Len()-len(p.Removed)+len(p.Fresh))
 	gone := p.Removed
 	for ci, c := range prev.Communities {
@@ -66,9 +80,30 @@ func (p *Patch) ApplyCover(prev *cover.Cover) *cover.Cover {
 		}
 		comms = append(comms, c)
 	}
-	cv := cover.NewCover(append(comms, p.Fresh...))
-	cv.SortBySize()
-	return cv
+	return cover.NewCover(append(comms, p.Fresh...))
+}
+
+// Reassemble rebuilds the generation p produced from old, given its
+// graph g, the way the publishing worker assembled it: assemble — the
+// worker's Config.Assemble — is handed the cover in patch order, old's
+// survivors then Fresh, with the PatchContext the worker built, and the
+// result is put in canonical order. A receiver holding old so pays for
+// what the publish changed, not for the whole cover. Gen, Seq, mode and
+// dirty count are left to the caller, as Assemble leaves them.
+func (p *Patch) Reassemble(old *Snapshot, g *graph.Graph, assemble func(*graph.Graph, *cover.Cover, *core.Result, float64, time.Duration, *PatchContext) *Snapshot) *Snapshot {
+	pc := &PatchContext{Old: old, Kept: old.Cover.Len() - len(p.Removed), Add: p.Add, Remove: p.Remove}
+	if len(p.Removed) == 0 && len(p.Fresh) == 0 {
+		return assemble(g, old.Cover, nil, p.C, 0, pc) // the fastpath: old's cover, already canonical
+	}
+	if len(p.Removed) > 0 {
+		pc.Removed = make([]bool, old.Cover.Len())
+		for _, id := range p.Removed {
+			pc.Removed[id] = true
+		}
+	}
+	snap := assemble(g, p.patchOrder(old.Cover), nil, p.C, 0, pc)
+	canonicalizeOrder(snap)
+	return snap
 }
 
 // replacePatch describes snap as a wholesale replacement of old's cover:

@@ -1,13 +1,14 @@
 package shard
 
 // Publishes replayed without a worker. A Link is one publish described
-// completely — its table growth and edge operations, its cover patch,
-// and the scalar facts and ownership metadata of the generation it
-// produces — so a peer holding the predecessor can rebuild the
-// generation from the link alone. The Worker keeps the newest links in
-// a Ring; the transport ships them to mirrors instead of whole
-// snapshots, and Fold is the one applier that replays them there and in
-// recovery, where the WAL supplies the same description.
+// completely — its table growth and net edge operations, and its cover
+// patch with the generation's scalar facts — so a peer holding the
+// predecessor can rebuild the generation from the link alone. The
+// Worker keeps the newest links in a Ring; the transport ships them to
+// mirrors as a WAL excerpt (EncodeChain) instead of whole snapshots.
+// Fold is the one applier and FoldLog the one driver that replays
+// publishes from WAL records — a recovered log tail (persist) or a
+// mirror's chain (FoldChain).
 
 import (
 	"fmt"
@@ -63,8 +64,7 @@ func ReconcileTable(table []int32, lookup func(int32) (int32, bool), base int, n
 // publish is validated before any of it is applied — the bytes come from
 // a log or a peer, and a checksum vouches for the bytes, not for what
 // they name — so a Step that fails leaves the fold at the previous
-// publish. Recovery (persist) feeds it the WAL; a snapshot mirror
-// (transport) feeds it links.
+// publish. FoldLog drives it over WAL records.
 type Fold struct {
 	delta    *graph.Delta
 	n        int // node count of the last folded generation
@@ -203,16 +203,15 @@ func patchFits(p *refresh.Patch, prevLen, n int) error {
 	return nil
 }
 
-// Link is one publish as a mirror replays it: the table growth and edge
-// operations (Batch: the entries for the locals the publish grew the
-// graph by, and its resolved operations), the cover patch, and the
-// generation's scalar facts and ownership metadata (Meta.Locals unset
-// on links that crossed the wire).
+// Link is one publish as a mirror replays it: the table growth and
+// edge operations (Batch: Base is the predecessor's node count,
+// NewLocals the entries for the locals the publish grew the graph by,
+// Add and Remove its net operations), the cover patch, and the
+// generation and operation count it produced.
 type Link struct {
 	Batch
-	Patch *refresh.Patch
-	Info  refresh.SnapshotInfo
-	Meta  *Meta
+	Patch    *refresh.Patch
+	Gen, Seq uint64
 }
 
 // LinkOf describes the published generation snap as a link; table is
@@ -224,11 +223,10 @@ func LinkOf(snap *refresh.Snapshot, table []int32) *Link {
 	if p == nil {
 		return nil
 	}
-	meta, _ := snap.Aux.(*Meta)
 	n := snap.Graph.N()
 	return &Link{
 		Batch: Batch{Base: p.PrevNodes, NewLocals: table[p.PrevNodes:n:n], Add: p.Add, Remove: p.Remove},
-		Patch: p, Info: snap.Info(), Meta: meta,
+		Patch: p, Gen: snap.Gen, Seq: snap.Seq,
 	}
 }
 
@@ -271,7 +269,7 @@ type Ring struct {
 func (r *Ring) Push(l *Link, full int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if l == nil || (len(r.links) > 0 && l.Info.Gen != r.links[len(r.links)-1].Info.Gen+1) {
+	if l == nil || (len(r.links) > 0 && l.Gen != r.links[len(r.links)-1].Gen+1) {
 		r.links, r.sizes, r.bytes = nil, nil, 0
 		if l == nil {
 			return
@@ -307,7 +305,7 @@ func (r *Ring) Chain(since, upTo uint64) ([]*Link, bool) {
 	if len(r.links) == 0 {
 		return nil, false
 	}
-	first := r.links[0].Info.Gen
+	first := r.links[0].Gen
 	if since+1 < first || upTo >= first+uint64(len(r.links)) {
 		return nil, false
 	}

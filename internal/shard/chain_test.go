@@ -117,7 +117,7 @@ func TestFoldStepIsAtomic(t *testing.T) {
 }
 
 func ringLink(gen uint64, fresh int) *Link {
-	return &Link{Patch: &refresh.Patch{Fresh: []cover.Community{make(cover.Community, fresh)}}, Info: refresh.SnapshotInfo{Gen: gen}}
+	return &Link{Patch: &refresh.Patch{Fresh: []cover.Community{make(cover.Community, fresh)}}, Gen: gen}
 }
 
 // TestRing: the ring hands out contiguous chains it holds whole, drops
@@ -129,7 +129,7 @@ func TestRing(t *testing.T) {
 	for gen := uint64(5); gen <= 8; gen++ {
 		r.Push(ringLink(gen, 10), full)
 	}
-	if links, ok := r.Chain(5, 8); !ok || len(links) != 3 || links[0].Info.Gen != 6 || links[2].Info.Gen != 8 {
+	if links, ok := r.Chain(5, 8); !ok || len(links) != 3 || links[0].Gen != 6 || links[2].Gen != 8 {
 		t.Fatalf("Chain(5, 8) = %d links, %v", len(links), ok)
 	}
 	if links, ok := r.Chain(4, 7); !ok || len(links) != 3 {
@@ -215,7 +215,7 @@ func TestWorkerChainAfterFlush(t *testing.T) {
 		baseTable := base.Aux.(*Meta).Locals
 		f := NewFold(base.Graph, base.Cover, base.Gen, baseTable, 200)
 		for _, l := range links {
-			if err := f.Step(l.Info.Gen, []Batch{l.Batch}, l.Info.Nodes, l.Patch); err != nil {
+			if err := f.Step(l.Gen, []Batch{l.Batch}, l.Base+len(l.NewLocals), l.Patch); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,19 +1,20 @@
 package shard
 
 // The shard layer's snapshot assembly: the one refresh.Config.Assemble
-// hook. Every per-shard generation — from scratch or patched — passes
-// through Worker.assemble, which decides ownership with one predicate
-// (ownsLocal, over the worker's current PartitionMap) and uses it to
-// ghost-filter the cover, then lets refresh.Assemble build or patch the
-// index and overlap stats, then attaches the ownership Meta. On the
-// patched path only the fresh communities are filtered: the carried
-// prefix survived the previous generation's filter under the same map,
-// and the incremental merge only unions members into carried
-// communities. That argument needs the map to be the one the previous
-// generation was filtered under, hence the epoch rule: a patched
-// generation inherits its predecessor's epoch, and when the map's epoch
-// has moved on the hook ignores the PatchContext and assembles from
-// scratch — O(n+m) once per epoch change per shard.
+// hook. Every per-shard generation — from scratch or patched, published
+// by a worker or rebuilt by a mirror — passes through Assemble, which
+// decides ownership with one predicate (ownsLocal, over the partition
+// map it is given) and uses it to ghost-filter the cover, then lets
+// refresh.Assemble build or patch the index and overlap stats, then
+// attaches the ownership Meta. On the patched path only the fresh
+// communities are filtered: the carried prefix survived the previous
+// generation's filter under the same map, and the incremental merge
+// only unions members into carried communities. That argument needs
+// the map to be the one the previous generation was filtered under,
+// hence the epoch rule: a patched generation inherits its predecessor's
+// map, and when the given map's epoch has moved on the hook ignores the
+// PatchContext and assembles from scratch — O(n+m) once per epoch
+// change per shard.
 
 import (
 	"time"
@@ -24,16 +25,14 @@ import (
 	"repro/internal/refresh"
 )
 
-// assemble is the refresh.Config.Assemble hook (and, with pc == nil,
-// how the worker's first generation is built): drop ghost-only
-// communities, assemble index/stats through refresh.Assemble, attach
-// the shard Meta — built by buildMeta from scratch, or adjusted by
-// patchMeta in O(|batch| + |affected|) when pc describes what changed.
-func (w *Worker) assemble(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *refresh.PatchContext) *refresh.Snapshot {
-	pm := w.pm.Load()
-	locals := w.localsPrefix(g.N())
-	owns := ownsLocal(pm, w.id, locals)
-
+// Assemble is the shard layer's one snapshot assembler, for shard
+// shardID under partition map pm with locals the generation's
+// local→global table prefix: drop ghost-only communities, assemble
+// index/stats through refresh.Assemble, attach the shard Meta — built by
+// buildMeta from scratch, or adjusted by patchMeta in O(|batch| +
+// |affected|) when pc describes what changed.
+func Assemble(shardID int, pm *PartitionMap, locals []int32, g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *refresh.PatchContext) *refresh.Snapshot {
+	owns := ownsLocal(pm, shardID, locals)
 	var oldMeta *Meta
 	from := 0 // first community still to be ghost-filtered
 	if pc != nil {
@@ -45,18 +44,26 @@ func (w *Worker) assemble(g *graph.Graph, cv *cover.Cover, res *core.Result, c f
 	}
 	snap := refresh.Assemble(g, filterOwned(cv, from, owns), res, c, buildTime, pc)
 	if pc == nil {
-		snap.Aux = buildMeta(w.id, pm, g, snap.Index, locals)
+		snap.Aux = buildMeta(shardID, pm, g, snap.Index, locals)
 	} else {
 		snap.Aux = patchMeta(oldMeta, pc, snap, locals, owns)
 	}
 	return snap
 }
 
+// assemble is the worker's refresh.Config.Assemble hook (and, with pc
+// == nil, how its first generation is built): Assemble under the
+// worker's current map and table.
+func (w *Worker) assemble(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *refresh.PatchContext) *refresh.Snapshot {
+	return Assemble(w.id, w.pm.Load(), w.localsPrefix(g.N()), g, cv, res, c, buildTime, pc)
+}
+
 // patchMeta adjusts the previous generation's ownership metadata for
 // the batch: O(|batch| + |affected|) instead of buildMeta's O(n + m)
 // rescan, except the rare full membership re-scan when the owned
 // membership maximum may have shrunk (mirroring cover.PatchStats).
-// Shard, K and Epoch are the predecessor's (see the epoch rule above).
+// Shard, K, Epoch and Map are the predecessor's (see the epoch rule
+// above).
 func patchMeta(oldMeta *Meta, pc *refresh.PatchContext, snap *refresh.Snapshot, locals []int32, owns func(int32) bool) *Meta {
 	old, ng, ix := pc.Old, snap.Graph, snap.Index
 	m := *oldMeta

@@ -296,7 +296,9 @@ func DecodePartitionMap(data []byte) (*PartitionMap, error) {
 	if len(body) != int(n)*16 {
 		return nil, fmt.Errorf("shard: partition map body %d bytes, want %d for %d ranges", len(body), int(n)*16, n)
 	}
-	m.Ranges = make([]Range, n)
+	if n > 0 {
+		m.Ranges = make([]Range, n) // nil when empty, as NewPartitionMap and Clone leave it
+	}
 	for i := range m.Ranges {
 		off := i * 16
 		m.Ranges[i] = Range{

@@ -16,11 +16,12 @@ import (
 // contribution to global aggregates, precomputed once per rebuild so
 // observability endpoints stay O(K) per request.
 type Meta struct {
-	// Shard and K identify the shard within its partition; Epoch is the
-	// partition-map epoch ownership was evaluated under.
+	// Shard and K identify the shard within its partition; Map is the
+	// partition map ownership was evaluated under, and Epoch its epoch.
 	Shard int
 	K     int
 	Epoch uint64
+	Map   *PartitionMap
 	// Locals maps the snapshot graph's local node ids to global ids;
 	// its length equals the snapshot graph's node count. The table is a
 	// stable prefix of the shard's append-only mapping, so it is safe
@@ -54,26 +55,32 @@ func ownsLocal(pm *PartitionMap, shardID int, locals []int32) func(int32) bool {
 }
 
 // buildMeta computes a snapshot's Meta from scratch from its graph,
-// index and translation table, with ownership evaluated under pm.
+// index and translation table, with ownership evaluated under pm once
+// per node.
 func buildMeta(shardID int, pm *PartitionMap, g *graph.Graph, ix *index.Membership, locals []int32) *Meta {
-	m := &Meta{Shard: shardID, K: pm.K, Epoch: pm.Epoch, Locals: locals}
+	m := &Meta{Shard: shardID, K: pm.K, Epoch: pm.Epoch, Map: pm, Locals: locals}
 	owns := ownsLocal(pm, shardID, locals)
-	for l := int32(0); int(l) < g.N(); l++ {
-		if owns(l) {
+	owned := make([]bool, g.N())
+	for l := range owned {
+		if owned[l] = owns(int32(l)); owned[l] {
 			m.OwnedNodes++
-			if d := ix.Degree(l); d > m.MaxMembershipOwned {
-				m.MaxMembershipOwned = d
-			}
+			m.MaxMembershipOwned = max(m.MaxMembershipOwned, ix.Degree(int32(l)))
 		}
 	}
-	g.Edges(func(lu, lv int32) bool {
-		ou, ov := owns(lu), owns(lv)
-		if (ou && ov) || (ou && locals[lu] < locals[lv]) || (ov && locals[lv] < locals[lu]) {
-			m.OwnedEdges++
+	// An edge is accountable here when its smaller-global-id endpoint is
+	// owned — every internal edge once, and the cross-shard edges this
+	// shard's side names first: seen from that endpoint, the neighbors
+	// with a larger global id.
+	for u, ou := range owned {
+		if !ou {
+			continue
 		}
-		return true
-	})
-	m.CoveredOwned, m.OverlapOwned, m.OwnedMemberships = ix.CoverageCounts(owns)
+		gu := int64(locals[u])
+		for _, v := range g.Neighbors(int32(u)) {
+			m.OwnedEdges += int64(uint64(gu-int64(locals[v])) >> 63) // 1 when locals[v] > gu, without a branch to mispredict
+		}
+	}
+	m.CoveredOwned, m.OverlapOwned, m.OwnedMemberships = ix.CoverageCounts(func(l int32) bool { return owned[l] })
 	return m
 }
 

@@ -15,14 +15,16 @@ import (
 )
 
 // BenchmarkMirrorSync is the budget line behind a router mirror's
-// resync after one publish: shard 0 of 2 of the end-to-end benchmark's
-// input (lfr-dense-20k), one incremental publish of 16 edges added inside
-// one planted community (the mutate workload's batch), and
-// one op = a mirror at the previous generation catching up over HTTP —
-// server encode, wire, client decode and assembly. full is the snapshot
-// stream (the server ignores Accept, as builds before chains did); chain
-// is the one-link chain folded onto the mirror's copy. wire_B/op is what
-// the sync read. The fixture is built once, outside the timer.
+// resync: shard 0 of 2 of the end-to-end benchmark's input
+// (lfr-dense-20k), incremental publishes of 16 edges added inside one
+// planted community (the mutate workload's batch), and one op = a mirror
+// behind the head catching up over HTTP — server encode, wire, client
+// decode and assembly. After one publish: full is the whole generation
+// (the server ignores Accept, as a server that cannot answer chains
+// does), chain the one-link chain, patched onto the mirror's copy.
+// After three more, chain4 is the four-link chain of a mirror four
+// publishes behind, assembled from scratch. wire_B/op is what the sync
+// read. The fixture is built outside the timer.
 func BenchmarkMirrorSync(b *testing.B) {
 	bench, err := lfr.Generate(lfr.Params{N: 20000, AvgDeg: 48, MaxDeg: 120, Mu: 0.1,
 		MinCom: 150, MaxCom: 400, OverlapNodes: 2000, OverlapMemb: 2, Seed: 1})
@@ -43,29 +45,37 @@ func BenchmarkMirrorSync(b *testing.B) {
 	base := w.Snapshot()
 	rng := rand.New(rand.NewSource(1))
 	planted := bench.Communities.Communities[0]
-	var add [][2]int32
-	for len(add) < 16 {
-		u, ok1 := w.Lookup(planted[rng.Intn(len(planted))])
-		v, ok2 := w.Lookup(planted[rng.Intn(len(planted))])
-		if ok1 && ok2 && u != v && !base.Graph.HasEdge(u, v) {
-			add = append(add, [2]int32{u, v})
+	publish := func() {
+		prev := w.Snapshot()
+		var add [][2]int32
+		for len(add) < 16 {
+			u, ok1 := w.Lookup(planted[rng.Intn(len(planted))])
+			v, ok2 := w.Lookup(planted[rng.Intn(len(planted))])
+			if ok1 && ok2 && u != v && !prev.Graph.HasEdge(u, v) {
+				add = append(add, [2]int32{u, v})
+			}
 		}
-	}
-	if err := w.Apply(context.Background(), add, nil); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := w.Flush(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	if head := w.Snapshot(); head.Gen != base.Gen+1 || head.RebuildMode != refresh.ModeIncremental {
-		b.Fatalf("publish %d is %s, want generation %d incremental (fixture premise)", head.Gen, head.RebuildMode, base.Gen+1)
+		if err := w.Apply(context.Background(), add, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := w.Flush(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		if head := w.Snapshot(); head.Gen != prev.Gen+1 || head.RebuildMode != refresh.ModeIncremental {
+			b.Fatalf("publish %d is %s, want generation %d incremental (fixture premise)", head.Gen, head.RebuildMode, prev.Gen+1)
+		}
 	}
 	handler := NewShardServer(w, ServerConfig{}).Handler()
 
 	for _, leg := range []struct {
-		name  string
-		chain bool
-	}{{"full", false}, {"chain", true}} {
+		name      string
+		chain     bool
+		publishes int // before the leg, since the mirror's generation
+	}{{"full", false, 1}, {"chain", true, 1}, {"chain4", true, 4}} {
+		for w.Snapshot().Gen < base.Gen+uint64(leg.publishes) {
+			publish()
+		}
+		head := w.Snapshot()
 		b.Run(leg.name, func(b *testing.B) {
 			ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 				if !leg.chain {
@@ -93,7 +103,7 @@ func BenchmarkMirrorSync(b *testing.B) {
 			}
 			b.StopTimer()
 			st := c.ResilienceStats()
-			if got := st.MirrorChainSyncs > 0; got != leg.chain || c.MirrorGen() != base.Gen+1 {
+			if got := st.MirrorChainSyncs > 0; got != leg.chain || c.MirrorGen() != head.Gen {
 				b.Fatalf("%s leg: mirror at generation %d, counters %+v", leg.name, c.MirrorGen(), st)
 			}
 			b.ReportMetric(float64(st.MirrorBytes)/float64(b.N), "wire_B/op")

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/lfr"
 	"repro/internal/refresh"
 	"repro/internal/shard"
+	"repro/internal/wal"
 )
 
 // chainFixture is shard 1 of 2 of a small LFR graph behind a shard
@@ -110,7 +110,8 @@ func (f *chainFixture) publish(round int) *refresh.Snapshot {
 }
 
 // sync brings the replica up to date and checks its mirror serves the
-// primary's head generation.
+// primary's head generation — every fact but the clock readings, which
+// a chain does not carry.
 func (f *chainFixture) sync() {
 	f.t.Helper()
 	if err := f.rs.Sync(context.Background()); err != nil {
@@ -119,6 +120,7 @@ func (f *chainFixture) sync() {
 	got, _ := f.rs.Mirror()
 	want := f.w.Snapshot()
 	wi, gi := want.Info(), got.Info()
+	wi.BuildMillis, wi.BuiltAtUnixMs, gi.BuildMillis, gi.BuiltAtUnixMs = 0, 0, 0, 0
 	if gi != wi || !reflect.DeepEqual(got.Cover.Communities, want.Cover.Communities) || !reflect.DeepEqual(got.Graph, want.Graph) {
 		f.t.Fatalf("mirror at %+v, primary at %+v", gi, wi)
 	}
@@ -150,17 +152,18 @@ func (f *chainFixture) get(since uint64, accept string) (string, []byte) {
 
 // TestSnapshotWithoutAcceptIsFullStream: a request that does not ask for
 // the chain — every client before chains existed — gets the full
-// snapshot stream, byte for byte what it always got.
+// transfer, byte for byte the segment of the head.
 func TestSnapshotWithoutAcceptIsFullStream(t *testing.T) {
 	f := newChainFixture(t, nil)
 	for i := 0; i < 3; i++ {
 		f.publish(i)
 	}
 	head := f.w.Snapshot()
-	var want bytes.Buffer
-	if err := encodeSnapshot(&want, 1, 2, head, f.w.Table()); err != nil {
+	data, err := fullBody(1, 2, head, f.w.Table())
+	if err != nil {
 		t.Fatal(err)
 	}
+	want := bytes.NewBuffer(data)
 	for _, accept := range []string{"", ContentTypeSnapshot, "*/*"} {
 		ct, body := f.get(head.Gen-1, accept)
 		if ct != ContentTypeSnapshot || !bytes.Equal(body, want.Bytes()) {
@@ -268,15 +271,17 @@ func TestChainMissFallsBackAndCounts(t *testing.T) {
 	}
 }
 
-// TestHostileChainRejected: a chain whose links name what the mirror's
-// generation does not have — a community id, a member past the node
-// range, a table entry contradicting the mirror's — is refused whole;
-// the mirror stays where it was and catches up once the peer behaves.
+// TestHostileChainRejected: a chain whose records name what the
+// mirror's generation does not have — a community id, a member past the
+// node range, a table entry contradicting the mirror's, growth its table
+// entries do not back — or that is not a whole excerpt of the
+// publishes since the mirror's generation is refused whole; the mirror
+// stays where it was and catches up once the peer behaves.
 func TestHostileChainRejected(t *testing.T) {
-	var tamper atomic.Value // func(*SnapshotChain)
+	var tamper atomic.Value // func(*wal.Excerpt, *uint64) []byte
 	f := newChainFixture(t, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			edit, _ := tamper.Load().(func(*SnapshotChain))
+			edit, _ := tamper.Load().(func(*wal.Excerpt, *uint64) []byte)
 			if edit == nil || r.URL.Path != PathSnapshot {
 				h.ServeHTTP(w, r)
 				return
@@ -287,30 +292,62 @@ func TestHostileChainRejected(t *testing.T) {
 				t.Errorf("tampering proxy got %s, want a chain", rec.Header().Get("Content-Type"))
 				return
 			}
-			var ch SnapshotChain
-			if err := json.Unmarshal(rec.Body.Bytes(), &ch); err != nil {
+			hdr, recs, _, err := wal.ReadLog(rec.Body)
+			if err != nil {
 				t.Error(err)
 				return
 			}
-			edit(&ch)
+			x, err := wal.Scan(recs)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for k, v := range rec.Header() {
 				w.Header()[k] = v
 			}
-			_ = json.NewEncoder(w).Encode(ch)
+			body := edit(&x, &hdr.BaseGen)
+			if body == nil {
+				s := wal.NewStream(hdr.BaseGen)
+				for i := range x.Publishes {
+					if i < len(x.Tail) {
+						_ = s.AppendEdgeBatch(x.Tail[i])
+					}
+					_ = s.AppendPatchedPublish(x.Patches[i])
+				}
+				body = s.Bytes()
+			}
+			_, _ = w.Write(body)
 		})
 	})
-	for name, edit := range map[string]func(*SnapshotChain){
-		"bad community id": func(ch *SnapshotChain) {
-			ch.Links[0].Patch.Removed = append(ch.Links[0].Patch.Removed, 1<<20)
+	for name, edit := range map[string]func(*wal.Excerpt, *uint64) []byte{
+		"bad community id": func(x *wal.Excerpt, _ *uint64) []byte {
+			x.Patches[0].Removed = append(x.Patches[0].Removed, 1<<20)
+			return nil
 		},
-		"member out of range": func(ch *SnapshotChain) {
-			ch.Links[0].Patch.Fresh = append(ch.Links[0].Patch.Fresh, []int32{0, int32(ch.Links[0].Info.Nodes)})
+		"member out of range": func(x *wal.Excerpt, _ *uint64) []byte {
+			b := x.Tail[0]
+			x.Patches[0].Fresh = append(x.Patches[0].Fresh, []int32{0, int32(b.Base + len(b.NewLocals))})
+			return nil
 		},
-		"table conflict": func(ch *SnapshotChain) {
-			ch.Links[0].Base, ch.Links[0].NewLocals = 0, []int32{1 << 20}
+		"table conflict": func(x *wal.Excerpt, _ *uint64) []byte {
+			x.Tail[0].Base, x.Tail[0].NewLocals = 0, []int32{1 << 20}
+			return nil
 		},
-		"growth past the table": func(ch *SnapshotChain) {
-			ch.Links[0].NewLocals = nil
+		"growth past the table": func(x *wal.Excerpt, _ *uint64) []byte {
+			x.Tail[0].NewLocals = nil
+			return nil
+		},
+		"publish without its batch": func(x *wal.Excerpt, _ *uint64) []byte {
+			x.Tail = nil
+			return nil
+		},
+		"based at another generation": func(_ *wal.Excerpt, since *uint64) []byte {
+			*since--
+			return nil
+		},
+		"torn": func(_ *wal.Excerpt, since *uint64) []byte {
+			body, _ := shard.EncodeChain(*since, nil)
+			return append(body, 1, 2, 3)
 		},
 	} {
 		before, _ := f.rs.Mirror()
@@ -322,7 +359,41 @@ func TestHostileChainRejected(t *testing.T) {
 		if got, _ := f.rs.Mirror(); got != before {
 			t.Fatalf("%s: the mirror moved to generation %d", name, got.Gen)
 		}
-		tamper.Store(func(*SnapshotChain) {})
+		tamper.Store(func(*wal.Excerpt, *uint64) []byte { return nil })
 		f.sync()
+	}
+}
+
+// TestReplicaReservesPrimaryChain: for the same ?since and head, the
+// chain a replica re-serves out of the links its mirror folded is byte
+// for byte the chain its primary serves — no per-process fact rides in
+// a link — and names the same partition map.
+func TestReplicaReservesPrimaryChain(t *testing.T) {
+	f := newChainFixture(t, nil)
+	since := f.w.Snapshot().Gen
+	for i := 0; i < 3; i++ {
+		f.publish(i)
+	}
+	f.sync() // one three-link chain: the replica holds all three links
+	get := func(h http.Handler, since uint64) (http.Header, []byte) {
+		req := httptest.NewRequest(http.MethodGet, PathSnapshot+"?since="+strconv.FormatUint(since, 10), nil)
+		req.Header.Set("Accept", ContentTypeSnapshotChain)
+		req.Header.Set(HeaderSnapshotInstance, f.ss.instance)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || ct != ContentTypeSnapshotChain {
+			t.Fatalf("?since=%d: status %d, %s", since, rec.Code, ct)
+		}
+		return rec.Header(), rec.Body.Bytes()
+	}
+	for s := since; s < f.rs.Gen(); s++ {
+		ph, primary := get(f.ss.Handler(), s)
+		rh, replica := get(f.rs.Handler(), s)
+		if !bytes.Equal(replica, primary) {
+			t.Errorf("?since=%d: the replica's %d-byte chain differs from the primary's %d bytes", s, len(replica), len(primary))
+		}
+		if rh.Get(HeaderPartitionMap) != ph.Get(HeaderPartitionMap) {
+			t.Errorf("?since=%d: the replica names map %q, the primary %q", s, rh.Get(HeaderPartitionMap), ph.Get(HeaderPartitionMap))
+		}
 	}
 }

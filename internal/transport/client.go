@@ -105,8 +105,7 @@ type mirrorState struct {
 	status shard.WorkerStatus
 	err    error
 	// instance is the server instance snap's generation numbering
-	// belongs to (HeaderSnapshotInstance; empty from servers that do not
-	// send one).
+	// belongs to (HeaderSnapshotInstance).
 	instance string
 }
 
@@ -366,9 +365,9 @@ func (c *Client) syncSnapshotCtx(parent context.Context) error {
 			return err
 		}
 		req.Header.Set(HeaderProtocol, strconv.Itoa(Version))
-		if since > 0 && instance != "" {
-			// Additive: a server that cannot (or does not) answer with the
-			// publishes since our generation sends the full stream.
+		if since > 0 {
+			// A server that cannot (or does not) answer with the publishes
+			// since our generation sends the full transfer.
 			req.Header.Set("Accept", ContentTypeSnapshotChain+", "+ContentTypeSnapshot)
 			req.Header.Set(HeaderSnapshotInstance, instance)
 		}
@@ -388,27 +387,23 @@ func (c *Client) syncSnapshotCtx(parent context.Context) error {
 		default:
 			return c.unavailable(fmt.Errorf("snapshot: http %d", resp.StatusCode))
 		}
-		body := &countingReader{r: resp.Body}
-		defer func() { c.mirrorBytes.Add(uint64(body.n)) }()
+		data, err := readBody(resp.Body, resp.ContentLength)
+		c.mirrorBytes.Add(uint64(len(data)))
 		got := resp.Header.Get(HeaderSnapshotInstance)
-		if resp.Header.Get("Content-Type") == ContentTypeSnapshotChain {
-			if got != instance {
-				return c.unavailable(fmt.Errorf("snapshot chain from instance %q onto a mirror of instance %q", got, instance))
+		switch {
+		case err != nil:
+		case resp.Header.Get("Content-Type") != ContentTypeSnapshotChain:
+			if snap, table, err = readFull(data, resp.Header, c.shardID, c.k); err == nil {
+				instance = got
 			}
-			ch, err := decodeChain(body, c.shardID, c.k, since)
-			if err == nil {
-				snap, table, links, err = foldChain(base, c.tableCopy(), ch)
-			}
-			if err != nil {
-				return c.unavailable(err)
-			}
-			return nil
+		case got != instance:
+			err = fmt.Errorf("snapshot chain from instance %q onto a mirror of instance %q", got, instance)
+		default:
+			snap, table, links, err = readChain(data, resp.Header, base, c.tableCopy(), c.k, since)
 		}
-		snap, table, err = decodeSnapshot(body, c.shardID, c.k)
 		if err != nil {
 			return c.unavailable(err)
 		}
-		instance = got
 		return nil
 	})
 	if err != nil {
@@ -450,18 +445,6 @@ func (c *Client) syncSnapshotCtx(parent context.Context) error {
 	c.mirror.Store(&mirrorState{snap: snap, status: st, instance: instance})
 	c.mirMu.Unlock()
 	return nil
-}
-
-// countingReader counts the bytes read through it.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
 }
 
 // fail records a degraded mirror (keeping the stale snapshot and last

@@ -13,15 +13,18 @@
 //     resolution, mutation apply with the ghost-table updates riding
 //     the fan-out, a flush barrier, and direct batch lookup. Snapshot
 //     resolution answers a mirror at generation G with the chain of
-//     publishes G+1 … head out of the worker's link ring (JSON, a few
-//     KB per publish) when the mirror accepts it, and with the whole
-//     generation (JSON header + binary CSR graph) otherwise.
+//     publishes G+1 … head out of the worker's link ring — a WAL
+//     excerpt, a few KB per publish — when the mirror accepts it, and
+//     with the whole generation as a segment otherwise: the bytes the
+//     data directory holds, never a wire-only encoding.
 //   - Client is the remote shard.Backend (inside the `ocad
 //     -shard-addrs` router role): it replicates the shard's
 //     translation table, mirrors its published snapshots so reads stay
-//     local and lock-free — catching up by folding chains
-//     (shard.Fold, validated link by link) and decoding whole
-//     snapshots only when the server sends one — raises a
+//     local and lock-free — catching up by folding chains with the
+//     driver recovery folds a WAL tail with (shard.Fold.FoldLog,
+//     validated publish by publish) and decoding whole segments only
+//     when the server sends one, assembling either with the shard
+//     layer's one assembler (shard.Assemble) — raises a
 //     read-your-writes floor on flush once the mirror has caught up,
 //     and maps transport failures to shard.ErrUnavailable so a down or
 //     slow shard degrades into explicit partial results — never a
@@ -30,8 +33,8 @@
 //     and dimension cross-checks), mirrors their first snapshots and
 //     assembles a shard.Router over remote backends.
 //
-// The protocol is versioned as a whole (Version, the
-// Ocad-Shard-Protocol header, the /shard/v1/ path prefix); the
+// The protocol is versioned as a whole (Version, carried by the
+// Ocad-Shard-Protocol header under the /shard/v1/ path prefix); the
 // normative description lives in docs/PROTOCOL.md, and
 // TestProtocolDocSync keeps that document and the Routes manifest in
 // lockstep. ReplicaServer re-serves a primary's mirror behind the same

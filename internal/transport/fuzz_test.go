@@ -3,19 +3,23 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"net/http"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/shard"
+	"repro/internal/wal"
 )
 
-// FuzzSnapshotChain feeds arbitrary bytes to a mirror as a chain
+// FuzzChainExcerpt feeds arbitrary bytes to a mirror as a chain
 // response: decoding and folding must never panic, whatever a peer
 // sends, and a chain the mirror accepts must assemble into a generation
 // its own facts describe — every community member a node of the graph,
 // the index over exactly those memberships, the table covering the
-// graph.
-func FuzzSnapshotChain(f *testing.F) {
+// graph — whose links re-encode to a chain that folds to it again.
+func FuzzChainExcerpt(f *testing.F) {
 	pieces, err := shard.Split(twoCliques(f), 2)
 	if err != nil {
 		f.Fatal(err)
@@ -27,6 +31,27 @@ func FuzzSnapshotChain(f *testing.F) {
 	defer w.Close()
 	base := w.Snapshot()
 	baseTable := w.Table()[:base.Graph.N()]
+	h := http.Header{
+		HeaderProtocol:     {strconv.Itoa(Version)},
+		HeaderPartitionMap: {base64.StdEncoding.EncodeToString(w.PartitionMap().Encode())},
+	}
+	reencode := func(data []byte, edit func(*wal.Excerpt)) []byte {
+		_, recs, _, err := wal.ReadLog(bytes.NewReader(data))
+		if err != nil {
+			f.Fatal(err)
+		}
+		x, err := wal.Scan(recs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		edit(&x)
+		s := wal.NewStream(base.Gen)
+		for i := range x.Publishes {
+			_ = s.AppendEdgeBatch(x.Tail[i])
+			_ = s.AppendPatchedPublish(x.Patches[i])
+		}
+		return s.Bytes()
+	}
 	for i, b := range []shard.Batch{
 		{Base: len(baseTable), NewLocals: []int32{10}, Add: [][2]int32{{0, int32(len(baseTable))}, {1, int32(len(baseTable))}}},
 		{Remove: [][2]int32{{0, 1}}},
@@ -42,26 +67,22 @@ func FuzzSnapshotChain(f *testing.F) {
 		if !ok {
 			f.Fatalf("publish %d: no chain from generation %d", i, base.Gen)
 		}
-		var buf bytes.Buffer
-		if err := encodeChain(&buf, 0, 2, base.Gen, links); err != nil {
+		body, err := shard.EncodeChain(base.Gen, links)
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()/2])
-		f.Add(bytes.Replace(buf.Bytes(), []byte(`"base":`), []byte(`"base":-`), 1))
-		f.Add(bytes.Replace(buf.Bytes(), []byte(`"nodes":`), []byte(`"nodes":9`), 1))
+		f.Add(body)
+		f.Add(body[:len(body)/2])
+		f.Add(reencode(body, func(x *wal.Excerpt) { x.Tail[0].NewLocals = nil }))
+		f.Add(reencode(body, func(x *wal.Excerpt) { x.Patches[0].Fresh = append(x.Patches[0].Fresh, []int32{0, 1 << 20}) }))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ch, err := decodeChain(bytes.NewReader(data), 0, 2, base.Gen)
-		if err != nil {
-			return
-		}
-		snap, table, links, err := foldChain(base, baseTable, ch)
+		snap, table, links, err := readChain(data, h, base, baseTable, 2, base.Gen)
 		if err != nil {
 			return
 		}
 		n := snap.Graph.N()
-		if len(table) < n || len(links) != len(ch.Links) || snap.Gen != ch.Links[len(ch.Links)-1].Info.Gen {
+		if len(table) < n || snap.Gen != links[len(links)-1].Gen || snap.Aux.(*shard.Meta).Locals == nil && n > 0 {
 			t.Fatalf("accepted chain: generation %d, %d nodes, %d table entries, %d links", snap.Gen, n, len(table), len(links))
 		}
 		memberships := 0
@@ -79,6 +100,14 @@ func FuzzSnapshotChain(f *testing.F) {
 		}
 		if indexed != memberships {
 			t.Fatalf("index holds %d memberships, cover %d", indexed, memberships)
+		}
+		again, err := shard.EncodeChain(base.Gen, links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap2, _, _, err := readChain(again, h, base, baseTable, 2, base.Gen)
+		if err != nil || snap2.Gen != snap.Gen || snap2.Graph.M() != snap.Graph.M() || snap2.Cover.Len() != snap.Cover.Len() {
+			t.Fatalf("re-encoded links do not fold to the same generation: %v", err)
 		}
 	})
 }

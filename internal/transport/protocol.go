@@ -8,11 +8,14 @@ import (
 // Protocol constants. The wire protocol is versioned as a whole: a
 // server answers only its own major version (the Ocad-Shard-Protocol
 // header), and any schema change that is not purely additive bumps
-// Version and the path prefix together. docs/PROTOCOL.md is the
-// normative description; TestProtocolDocSync keeps the two in lockstep.
+// Version. Version 2 — the snapshot transfer in the durable encodings —
+// is still served under /shard/v1/: the paths name the endpoint set,
+// which did not change, and the version header, not the path, is what
+// every peer checks. docs/PROTOCOL.md is the normative description;
+// TestProtocolDocSync keeps the two in lockstep.
 const (
 	// Version is the protocol major version spoken by this build.
-	Version = 1
+	Version = 2
 
 	// HeaderProtocol is the header both sides stamp with Version.
 	HeaderProtocol = "Ocad-Shard-Protocol"
@@ -25,16 +28,24 @@ const (
 	// with 400/bad_request.
 	HeaderDeadline = "Ocad-Deadline-Ms"
 
-	// ContentTypeSnapshot is the snapshot transfer's media type: one
-	// JSON header line, then the binary CSR graph (graph.WriteBinary).
+	// ContentTypeSnapshot is the full transfer's media type: the
+	// generation as a segment (internal/segment), its table the full
+	// translation table.
 	ContentTypeSnapshot = "application/x-ocad-snapshot"
 
-	// ContentTypeSnapshotChain is the chain transfer's media type: one
-	// JSON SnapshotChain value, the publishes between the client's
-	// generation and the head. Additive: a client asks for it with
-	// Accept on a ?since request, and a server that cannot (or does not)
-	// answer it sends the full snapshot stream instead, labelled as such.
+	// ContentTypeSnapshotChain is the chain transfer's media type: the
+	// publishes between the client's generation and the head as a WAL
+	// excerpt based at the client's generation (shard.EncodeChain). A
+	// client asks for it with Accept on a ?since request, and a server
+	// that cannot (or does not) answer it sends the full transfer
+	// instead, labelled as such.
 	ContentTypeSnapshotChain = "application/x-ocad-snapshot-chain"
+
+	// HeaderPartitionMap accompanies a chain: the partition map the
+	// head's ownership was evaluated under, in its binary encoding
+	// (shard.PartitionMap.Encode), base64. A full transfer carries its map
+	// in the segment's META instead.
+	HeaderPartitionMap = "Ocad-Partition-Map"
 
 	// HeaderSnapshotInstance names the server instance whose generation
 	// numbering a snapshot response belongs to: a random token a shard
@@ -176,75 +187,6 @@ type Health struct {
 	// refresh worker's point-in-time state.
 	Snapshot refresh.SnapshotInfo `json:"snapshot"`
 	Status   shard.WorkerStatus   `json:"status"`
-}
-
-// SnapshotHeader is the JSON first line of a snapshot transfer; the
-// binary CSR graph follows it on the same stream.
-type SnapshotHeader struct {
-	Protocol int `json:"protocol"`
-	Shard    int `json:"shard"`
-	Shards   int `json:"shards"`
-	// Info carries the generation's scalar facts (gen, c, rebuild mode,
-	// dimensions); the receiver rebuilds index and stats from the cover
-	// deterministically and restores these on top.
-	Info refresh.SnapshotInfo `json:"info"`
-	// Table is the full local→global translation table — at least
-	// Info.Nodes entries; entries beyond are growth pending publication,
-	// shipped so a reconnecting router resumes replication mid-growth.
-	Table []int32 `json:"table"`
-	// Cover is the served communities as local-id member lists, in
-	// served order.
-	Cover [][]int32 `json:"cover"`
-	// Meta is the shard's ownership aggregates for this generation.
-	Meta MetaWire `json:"meta"`
-}
-
-// MetaWire is shard.Meta without its Locals table (derived from
-// SnapshotHeader.Table on the receiving side).
-type MetaWire struct {
-	// Epoch is the partition-map epoch the generation's ownership was
-	// evaluated under (0 on pre-rebalancing senders).
-	Epoch              uint64 `json:"epoch,omitempty"`
-	OwnedNodes         int    `json:"owned_nodes"`
-	OwnedEdges         int64  `json:"owned_edges"`
-	CoveredOwned       int    `json:"covered_owned"`
-	OverlapOwned       int    `json:"overlap_owned"`
-	OwnedMemberships   int64  `json:"owned_memberships"`
-	MaxMembershipOwned int    `json:"max_membership_owned"`
-}
-
-// SnapshotChain is the chain transfer body: the links that take a
-// mirror from generation Since to the last link's generation, in order.
-// The receiver replays them onto its copy of generation Since
-// (shard.Fold) instead of decoding a whole snapshot.
-type SnapshotChain struct {
-	Protocol int         `json:"protocol"`
-	Shard    int         `json:"shard"`
-	Shards   int         `json:"shards"`
-	Since    uint64      `json:"since"`
-	Links    []ChainLink `json:"links"`
-}
-
-// ChainLink is one publish on the wire: the translation-table entries
-// for the locals it grew the graph by (base, new_locals), its edge
-// operations with one entry per distinct edge (add, remove), its cover
-// patch, and the scalar facts and ownership aggregates of the
-// generation it produces. Info's rebuild mode, c and dirty count are
-// the patch's own.
-type ChainLink struct {
-	shard.Batch
-	Patch PatchWire            `json:"patch"`
-	Info  refresh.SnapshotInfo `json:"info"`
-	Meta  MetaWire             `json:"meta"`
-}
-
-// PatchWire is refresh.Patch's cover half: the previous generation's
-// community ids the publish removed, ascending, and the communities it
-// appended (local-id member lists), before the canonical sort.
-type PatchWire struct {
-	Carried bool      `json:"carried,omitempty"`
-	Removed []int32   `json:"removed,omitempty"`
-	Fresh   [][]int32 `json:"fresh,omitempty"`
 }
 
 // MapRequest is the POST /shard/v1/map body: a partition map to

@@ -177,7 +177,7 @@ func (s *ShardServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // (mirror) paths: 304 when the client's ?since generation is already
 // current; the chain since → snap when the client accepts the chain
 // media type, its generation since belongs to this instance's
-// numbering, and chain can supply it; the snapshot stream otherwise
+// numbering, and chain can supply it whole; the full transfer otherwise
 // (counted in misses when a chain was asked for). table is called after
 // the snapshot load and only when a stream is sent: the mapping is
 // append-only, so the capture is always a superset of the generation's
@@ -196,24 +196,35 @@ func serveSnapshot(w http.ResponseWriter, r *http.Request, shardID, k int, snap 
 			return
 		}
 	}
-	if instance != "" {
-		w.Header().Set(HeaderSnapshotInstance, instance)
-	}
+	w.Header().Set(HeaderSnapshotInstance, instance)
 	if since > 0 && acceptsChain(r) {
 		var links []*shard.Link
-		ok := instance != "" && r.Header.Get(HeaderSnapshotInstance) == instance
+		ok := r.Header.Get(HeaderSnapshotInstance) == instance
 		if ok {
 			links, ok = chain(since, snap)
 		}
 		if ok {
-			w.Header().Set("Content-Type", ContentTypeSnapshotChain)
-			_ = encodeChain(w, shardID, k, since, links)
-			return
+			if body, pm, err := chainBody(since, snap, links); err == nil {
+				w.Header().Set(HeaderPartitionMap, pm)
+				writeBody(w, ContentTypeSnapshotChain, body)
+				return
+			}
 		}
 		misses.Add(1)
 	}
-	w.Header().Set("Content-Type", ContentTypeSnapshot)
-	_ = encodeSnapshot(w, shardID, k, snap, table())
+	body, err := fullBody(shardID, k, snap, table())
+	if err != nil {
+		writeCode(w, http.StatusInternalServerError, "", "encoding generation %d: %v", snap.Gen, err)
+		return
+	}
+	writeBody(w, ContentTypeSnapshot, body)
+}
+
+// writeBody answers 200 with a transfer body, its length declared.
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 // acceptsChain reports whether the request's Accept header lists the

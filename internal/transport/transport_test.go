@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -167,11 +168,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	w := cl.workers[0]
 	snap := w.Snapshot()
 
-	var buf bytes.Buffer
-	if err := encodeSnapshot(&buf, w.Shard(), w.K(), snap, w.Table()); err != nil {
+	data, err := fullBody(w.Shard(), w.K(), snap, w.Table())
+	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, table, err := decodeSnapshot(&buf, w.Shard(), w.K())
+	got, table, err := readFull(data, http.Header{HeaderProtocol: {strconv.Itoa(Version)}}, w.Shard(), w.K())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -401,8 +402,8 @@ func TestProtocolVersionGate(t *testing.T) {
 	if er.Code != CodeProtocolMismatch {
 		t.Fatalf("code = %q, want %q", er.Code, CodeProtocolMismatch)
 	}
-	if got := resp.Header.Get(HeaderProtocol); got != "1" {
-		t.Fatalf("response protocol header = %q, want 1", got)
+	if got := resp.Header.Get(HeaderProtocol); got != "2" {
+		t.Fatalf("response protocol header = %q, want 2", got)
 	}
 }
 

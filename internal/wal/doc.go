@@ -9,9 +9,10 @@
 // incremental rebuild engine only where there are none — so recovery
 // costs O(batch) per record instead of a cold OCA run.
 //
-// The package owns only the on-disk format — record framing, the edge
-// batch, publish-marker and cover-patch payloads, and the torn-tail
-// read semantics.
+// The package owns only the format — record framing, the edge batch,
+// publish-marker and cover-patch payloads, and the torn-tail read
+// semantics — which a shard server also ships its mirrors a chain of
+// publishes in (Stream, Scan).
 // File placement, rotation and retention live in internal/persist;
 // the normative format specification is docs/PERSISTENCE.md, which a
 // doc-sync test locks to this package's constants.

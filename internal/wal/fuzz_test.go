@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzWALRecord throws arbitrary bytes at the WAL stream parser and the
-// payload decoders. The parser must never panic, never allocate beyond
+// FuzzWALRecord throws arbitrary bytes at the WAL stream parser, the
+// payload decoders and Scan — how recovery reads a log tail and a
+// mirror a snapshot chain. The parser must never panic, never allocate beyond
 // MaxRecordBytes per record, and must classify every input as exactly
 // one of: clean read, torn tail (ErrTorn), or not-a-WAL.
 func FuzzWALRecord(f *testing.F) {
@@ -51,6 +52,14 @@ func FuzzWALRecord(f *testing.F) {
 		copy(p[30:], []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) // nRemoved, nFresh
 		return p
 	}))
+	// A snapshot chain's excerpt: per publish one net batch, its patch
+	// and its marker, as a Stream frames them.
+	chain := NewStream(2)
+	for _, cp := range []CoverPatch{incremental, {Publish: Publish{Gen: 4, Seq: 8}, Mode: PatchFastpath, C: 0.25}} {
+		_ = chain.AppendEdgeBatch(EdgeBatch{Seq: cp.Seq, Base: 7, NewLocals: []int32{40}, Add: [][2]int32{{1, 7}}})
+		_ = chain.AppendPatchedPublish(cp)
+	}
+	f.Add(chain.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, recs, valid, err := ReadLog(bytes.NewReader(data))
@@ -73,23 +82,35 @@ func FuzzWALRecord(f *testing.F) {
 		if err2 != nil || valid2 != valid || len(recs2) != len(recs) {
 			t.Fatalf("valid prefix did not re-read cleanly: %v (%d vs %d recs)", err2, len(recs2), len(recs))
 		}
+		// Scan — how recovery and a mirror read an excerpt — keeps exactly
+		// the records that decode, and fails only on a batch or marker
+		// that does not.
+		var batches, pubs, patches int
+		whole := true
 		for _, rec := range recs {
 			switch rec.Type {
 			case RecEdgeBatch:
-				if b, err := DecodeEdgeBatch(rec.Payload); err == nil {
+				b, err := DecodeEdgeBatch(rec.Payload)
+				whole = whole && err == nil
+				if err == nil {
+					batches++
 					got, err := DecodeEdgeBatch(b.encode())
 					if err != nil || got.Seq != b.Seq || len(got.Add) != len(b.Add) {
 						t.Fatalf("edge batch did not round-trip: %v", err)
 					}
 				}
 			case RecPublish:
-				if p, err := DecodePublish(rec.Payload); err == nil {
+				p, err := DecodePublish(rec.Payload)
+				whole = whole && err == nil
+				if err == nil {
+					pubs++
 					if got, _ := DecodePublish(p.encode()); got != p {
 						t.Fatalf("publish did not round-trip")
 					}
 				}
 			case RecCoverPatch:
 				if cp, err := DecodeCoverPatch(rec.Payload); err == nil {
+					patches++
 					if !bytes.Equal(cp.encode(), rec.Payload) {
 						t.Fatalf("cover patch did not round-trip")
 					}
@@ -98,6 +119,10 @@ func FuzzWALRecord(f *testing.F) {
 					}
 				}
 			}
+		}
+		x, err := Scan(recs)
+		if (err == nil) != whole || err == nil && (len(x.Tail) != batches || len(x.Publishes) != pubs || len(x.Patches) != patches) {
+			t.Fatalf("scan kept %d/%d/%d records (%v) of %d/%d/%d decodable", len(x.Tail), len(x.Publishes), len(x.Patches), err, batches, pubs, patches)
 		}
 	})
 }

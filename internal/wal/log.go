@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
@@ -27,11 +26,7 @@ func Create(path string, baseGen uint64, syncEveryAppend bool) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	var head [headerSize]byte
-	copy(head[:4], MagicLog[:])
-	binary.LittleEndian.PutUint32(head[4:8], VersionLog)
-	binary.LittleEndian.PutUint64(head[8:16], baseGen)
-	if _, err := f.Write(head[:]); err != nil {
+	if _, err := f.Write(appendHeader(nil, baseGen)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: writing header: %w", err)
 	}
@@ -88,14 +83,11 @@ func (l *Log) AppendPublish(p Publish) error {
 // MaxRecordBytes is left out — the marker alone is what every publish
 // wrote before patches existed, and recovery re-derives the generation.
 func (l *Log) AppendPatchedPublish(cp CoverPatch) error {
-	marker := cp.Publish.encode()
 	n := cp.encodedLen()
 	if n > MaxRecordBytes {
-		return l.Append(RecPublish, marker)
+		return l.Append(RecPublish, cp.Publish.encode())
 	}
-	frames := make([]byte, 0, 2*frameHead+int(n)+len(marker))
-	frames = appendFrame(frames, RecCoverPatch, cp.encode())
-	return l.write(appendFrame(frames, RecPublish, marker))
+	return l.write(appendPatchedPublish(make([]byte, 0, 2*frameHead+int(n)+16), cp))
 }
 
 // Size returns the current file size in bytes (header included).
