@@ -75,8 +75,8 @@ func TestMigrationMovesOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range views {
-		if m := v.Meta(); m.Epoch != 1 {
-			t.Errorf("shard %d serves meta at epoch %d, want 1", v.Shard, m.Epoch)
+		if m := v.Meta(); m.Map.Epoch != 1 {
+			t.Errorf("shard %d serves meta at epoch %d, want 1", v.Shard, m.Map.Epoch)
 		}
 	}
 	owned0, owned1 := views[0].Meta().OwnedNodes, views[1].Meta().OwnedNodes

@@ -36,7 +36,7 @@ func Assemble(shardID int, pm *PartitionMap, locals []int32, g *graph.Graph, cv 
 	var oldMeta *Meta
 	from := 0 // first community still to be ghost-filtered
 	if pc != nil {
-		if oldMeta, _ = pc.Old.Aux.(*Meta); oldMeta != nil && oldMeta.Epoch == pm.Epoch {
+		if oldMeta, _ = pc.Old.Aux.(*Meta); oldMeta != nil && oldMeta.Map.Epoch == pm.Epoch {
 			from = pc.Kept
 		} else {
 			pc = nil // nothing to patch from, or filtered under another map
@@ -62,8 +62,7 @@ func (w *Worker) assemble(g *graph.Graph, cv *cover.Cover, res *core.Result, c f
 // the batch: O(|batch| + |affected|) instead of buildMeta's O(n + m)
 // rescan, except the rare full membership re-scan when the owned
 // membership maximum may have shrunk (mirroring cover.PatchStats).
-// Shard, K, Epoch and Map are the predecessor's (see the epoch rule
-// above).
+// Shard, K and Map are the predecessor's (see the epoch rule above).
 func patchMeta(oldMeta *Meta, pc *refresh.PatchContext, snap *refresh.Snapshot, locals []int32, owns func(int32) bool) *Meta {
 	old, ng, ix := pc.Old, snap.Graph, snap.Index
 	m := *oldMeta

@@ -184,8 +184,8 @@ func TestShardPatchEquivalence(t *testing.T) {
 	apply([][2]int32{{2, 5}}, nil) // both endpoints owned by the bystander
 	verifyAll()
 	for _, b := range r.backends {
-		if m := b.View().Meta(); m.Epoch != epoch {
-			t.Fatalf("shard %d publishes epoch %d under the epoch-%d map", m.Shard, m.Epoch, epoch)
+		if m := b.View().Meta(); m.Map.Epoch != epoch {
+			t.Fatalf("shard %d publishes epoch %d under the epoch-%d map", m.Shard, m.Map.Epoch, epoch)
 		}
 	}
 

@@ -17,10 +17,9 @@ import (
 // observability endpoints stay O(K) per request.
 type Meta struct {
 	// Shard and K identify the shard within its partition; Map is the
-	// partition map ownership was evaluated under, and Epoch its epoch.
+	// partition map ownership was evaluated under.
 	Shard int
 	K     int
-	Epoch uint64
 	Map   *PartitionMap
 	// Locals maps the snapshot graph's local node ids to global ids;
 	// its length equals the snapshot graph's node count. The table is a
@@ -58,7 +57,7 @@ func ownsLocal(pm *PartitionMap, shardID int, locals []int32) func(int32) bool {
 // index and translation table, with ownership evaluated under pm once
 // per node.
 func buildMeta(shardID int, pm *PartitionMap, g *graph.Graph, ix *index.Membership, locals []int32) *Meta {
-	m := &Meta{Shard: shardID, K: pm.K, Epoch: pm.Epoch, Map: pm, Locals: locals}
+	m := &Meta{Shard: shardID, K: pm.K, Map: pm, Locals: locals}
 	owns := ownsLocal(pm, shardID, locals)
 	owned := make([]bool, g.N())
 	for l := range owned {

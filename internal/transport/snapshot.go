@@ -33,8 +33,8 @@ func fullBody(shardID, k int, snap *refresh.Snapshot, table []int32) ([]byte, er
 		return nil, fmt.Errorf("transport: snapshot generation %d has no shard metadata", snap.Gen)
 	}
 	d := segment.Data{Meta: segment.Meta{Info: snap.Info(), Shard: shardID, Shards: k}, Graph: snap.Graph, Cover: snap.Cover, Table: table}
-	if meta.Epoch != 0 {
-		d.Epoch, d.PMap = meta.Epoch, meta.Map.Encode()
+	if meta.Map.Epoch != 0 {
+		d.Epoch, d.PMap = meta.Map.Epoch, meta.Map.Encode()
 	}
 	return d.Encode()
 }
