@@ -117,8 +117,8 @@ func EncodeChain(since uint64, links []*Link) ([]byte, error) {
 	return s.Bytes(), nil
 }
 
-// FoldChain replays a decoded chain onto base, a mirrored generation
-// (its Meta attached), with table the mirror's translation table, and
+// FoldChain replays a decoded chain onto base, a shard generation (its
+// Meta attached), with table the mirror's translation table, and
 // assembles the head generation under pm, the partition map the head
 // was published under. Growth is capped by the table entries the mirror
 // has plus those the chain ships — every node needs one — so no
@@ -129,10 +129,6 @@ func EncodeChain(since uint64, links []*Link) ([]byte, error) {
 // as recovery sets them: built now, in no time. It returns the head
 // generation, the grown table and the links in memory form.
 func FoldChain(base *refresh.Snapshot, table []int32, pm *PartitionMap, x *wal.Excerpt) (*refresh.Snapshot, []int32, []*Link, error) {
-	meta, _ := base.Aux.(*Meta)
-	if meta == nil {
-		return nil, nil, nil, fmt.Errorf("shard: chain onto generation %d, which has no shard metadata", base.Gen)
-	}
 	if len(x.Publishes) == 0 || len(x.Patches) != len(x.Publishes) || len(x.Tail) != len(x.Publishes) {
 		return nil, nil, nil, fmt.Errorf("shard: chain of %d batches, %d patches and %d publishes, want one of each per publish",
 			len(x.Tail), len(x.Patches), len(x.Publishes))
@@ -155,7 +151,7 @@ func FoldChain(base *refresh.Snapshot, table []int32, pm *PartitionMap, x *wal.E
 	}
 	locals := grown[:n:n]
 	assemble := func(g *graph.Graph, cv *cover.Cover, _ *core.Result, c float64, buildTime time.Duration, pc *refresh.PatchContext) *refresh.Snapshot {
-		return Assemble(meta.Shard, pm, locals, g, cv, nil, c, buildTime, pc)
+		return Assemble(base.Aux.(*Meta).Shard, pm, locals, g, cv, nil, c, buildTime, pc)
 	}
 	var snap *refresh.Snapshot
 	if len(x.Publishes) == 1 {

@@ -28,13 +28,9 @@ import (
 // prefix — on the wire, unlike on disk, it may run past the graph), and
 // whose partition map is the one snap's ownership was evaluated under.
 func fullBody(shardID, k int, snap *refresh.Snapshot, table []int32) ([]byte, error) {
-	meta, _ := snap.Aux.(*shard.Meta)
-	if meta == nil {
-		return nil, fmt.Errorf("transport: snapshot generation %d has no shard metadata", snap.Gen)
-	}
 	d := segment.Data{Meta: segment.Meta{Info: snap.Info(), Shard: shardID, Shards: k}, Graph: snap.Graph, Cover: snap.Cover, Table: table}
-	if meta.Map.Epoch != 0 {
-		d.Epoch, d.PMap = meta.Map.Epoch, meta.Map.Encode()
+	if pm := snap.Aux.(*shard.Meta).Map; pm.Epoch != 0 {
+		d.Epoch, d.PMap = pm.Epoch, pm.Encode()
 	}
 	return d.Encode()
 }
@@ -94,12 +90,8 @@ func readFull(data []byte, h http.Header, wantShard, wantK int) (*refresh.Snapsh
 // the map head's ownership was evaluated under. It fails when the chain
 // cannot be shipped whole.
 func chainBody(since uint64, head *refresh.Snapshot, links []*shard.Link) ([]byte, string, error) {
-	meta, _ := head.Aux.(*shard.Meta)
-	if meta == nil {
-		return nil, "", fmt.Errorf("transport: snapshot generation %d has no shard metadata", head.Gen)
-	}
 	body, err := shard.EncodeChain(since, links)
-	return body, base64.StdEncoding.EncodeToString(meta.Map.Encode()), err
+	return body, base64.StdEncoding.EncodeToString(head.Aux.(*shard.Meta).Map.Encode()), err
 }
 
 // readChain decodes a chain transfer onto base, the mirror's copy of
