@@ -134,10 +134,11 @@ test-shard-compose:
 # recovery reads covers back from the log precisely because OCA's vary
 # with GOMAXPROCS — at 1, 3 and 8: what a recovered directory serves,
 # what a publish logs, what the WAL parses, the seeding rules of a
-# scoped OCA run (whose batch width is the worker count), and the
-# graph kernels a publish runs.
+# scoped OCA run (whose batch width is the worker count), the graph
+# kernels a publish runs, and the one snapshot assembler with the index
+# it builds (the shard equivalence and fastpath properties among them).
 test-core-count:
-	$(GO) test -count=1 -cpu 1,3,8 ./internal/core ./internal/graph ./internal/persist ./internal/refresh ./internal/wal
+	$(GO) test -count=1 -cpu 1,3,8 ./internal/core ./internal/graph ./internal/persist ./internal/refresh ./internal/wal ./internal/shard ./internal/index
 
 # Snapshot mirrors fed chains of publishes, repeated under the race
 # detector: the chain-vs-full equivalence property (its -short size),

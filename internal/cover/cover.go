@@ -204,85 +204,6 @@ func (cv *Cover) Stats(n int) OverlapStats {
 	return st
 }
 
-// PatchStats returns the OverlapStats of a cover derived from a
-// previous one by removing and adding whole communities, without
-// re-tallying every membership the way Stats does: size statistics are
-// re-derived from the new cover's community lengths (O(communities)),
-// and the node-membership tallies are adjusted only for the affected
-// nodes — the members of the removed and added communities.
-//
-// affected must list each such node once; oldDeg and newDeg report a
-// node's membership count in the previous and the new cover (an
-// inverted index's Degree on either side). n is the new cover's node
-// range, consulted only in the rare full re-scan below.
-//
-// MaxMembership can shrink only when a node holding the previous
-// maximum lost memberships; exactly then newDeg is re-scanned over all
-// n nodes — a flat pass with no allocation, still far cheaper than
-// re-tallying, and skipped entirely on the common grow-or-stable case.
-func PatchStats(prev OverlapStats, cv *Cover, n int, affected []int32, oldDeg, newDeg func(int32) int) OverlapStats {
-	st := OverlapStats{
-		Communities:   cv.Len(),
-		CoveredNodes:  prev.CoveredNodes,
-		OverlapNodes:  prev.OverlapNodes,
-		MaxMembership: prev.MaxMembership,
-		Memberships:   prev.Memberships,
-	}
-	if cv.Len() > 0 {
-		st.MinSize = len(cv.Communities[0])
-		total := 0
-		for _, c := range cv.Communities {
-			if len(c) < st.MinSize {
-				st.MinSize = len(c)
-			}
-			if len(c) > st.MaxSize {
-				st.MaxSize = len(c)
-			}
-			total += len(c)
-		}
-		st.MeanSize = float64(total) / float64(cv.Len())
-	}
-	maxMayDrop := false
-	for _, v := range affected {
-		od, nd := oldDeg(v), newDeg(v)
-		if od == nd {
-			continue
-		}
-		st.Memberships += int64(nd - od)
-		switch {
-		case od == 0 && nd > 0:
-			st.CoveredNodes++
-		case od > 0 && nd == 0:
-			st.CoveredNodes--
-		}
-		switch {
-		case od <= 1 && nd >= 2:
-			st.OverlapNodes++
-		case od >= 2 && nd <= 1:
-			st.OverlapNodes--
-		}
-		if nd > st.MaxMembership {
-			st.MaxMembership = nd
-		}
-		if nd < od && od >= prev.MaxMembership {
-			maxMayDrop = true
-		}
-	}
-	if maxMayDrop {
-		m := 0
-		for v := int32(0); int(v) < n; v++ {
-			if d := newDeg(v); d > m {
-				m = d
-			}
-		}
-		st.MaxMembership = m
-	}
-	if st.CoveredNodes > 0 {
-		st.MeanMember = float64(st.Memberships) / float64(st.CoveredNodes)
-	}
-	return st
-}
-
 // Clone deep-copies the cover.
 func (cv *Cover) Clone() *Cover {
 	out := make([]Community, len(cv.Communities))

@@ -58,8 +58,7 @@ func randomCommunities(rng *rand.Rand, n, k int) []Community {
 
 // TestStatsMatchesMapReference: Stats over random covers — n = 0,
 // empty covers, empty communities, heavy overlap — equals the map
-// tally, and so does every link of a PatchStats chain that removes and
-// adds communities one generation at a time.
+// tally.
 func TestStatsMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	if got, want := NewCover(nil).Stats(0), refStats(NewCover(nil)); got != want {
@@ -70,40 +69,6 @@ func TestStatsMatchesMapReference(t *testing.T) {
 		cv := NewCover(randomCommunities(rng, n, rng.Intn(12)))
 		if got, want := cv.Stats(n), refStats(cv); got != want {
 			t.Fatalf("trial %d (n=%d): Stats=%+v, want %+v", trial, n, got, want)
-		}
-		// A chain of patches, each one's stats patched from the last.
-		st := cv.Stats(n)
-		for link := 0; link < 8; link++ {
-			var kept, removed []Community
-			for _, c := range cv.Communities {
-				if rng.Intn(4) == 0 {
-					removed = append(removed, c)
-				} else {
-					kept = append(kept, c)
-				}
-			}
-			newN := n + rng.Intn(5)
-			added := randomCommunities(rng, newN, rng.Intn(4))
-			next := NewCover(append(kept, added...))
-			seen := map[int32]bool{}
-			var affected []int32
-			for _, c := range append(removed, added...) {
-				for _, v := range c {
-					if !seen[v] {
-						seen[v] = true
-						affected = append(affected, v)
-					}
-				}
-			}
-			st = PatchStats(st, next, newN, affected, degreeOf(cv, n), degreeOf(next, newN))
-			want := refStats(next)
-			if st != want {
-				t.Fatalf("trial %d link %d: PatchStats=%+v, want %+v", trial, link, st, want)
-			}
-			if got := next.Stats(newN); got != want {
-				t.Fatalf("trial %d link %d: Stats=%+v, want %+v", trial, link, got, want)
-			}
-			cv, n = next, newN
 		}
 	}
 }

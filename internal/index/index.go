@@ -10,6 +10,8 @@
 package index
 
 import (
+	"fmt"
+
 	"repro/internal/cover"
 )
 
@@ -52,6 +54,45 @@ func Build(cv *cover.Cover, n int) *Membership {
 	return ix
 }
 
+// Permute returns the index relabeled by a community permutation —
+// perm[old] is the new id of community old, as produced by
+// cover.SortPerm on the indexed cover. Offsets are shared with prev
+// (every node keeps the same membership count); only the id payload is
+// remapped, and each node's short list re-sorted to restore the
+// ascending-per-node invariant: O(memberships) total. An identity (or
+// empty) permutation returns prev itself.
+func Permute(prev *Membership, perm []int32) *Membership {
+	if len(perm) != prev.k {
+		panic(fmt.Sprintf("index: Permute got %d ids for %d communities", len(perm), prev.k))
+	}
+	identity := true
+	for i, p := range perm {
+		if int32(i) != p {
+			identity = false
+			break
+		}
+	}
+	if identity {
+		return prev
+	}
+	comms := make([]int32, len(prev.comms))
+	for i, ci := range prev.comms {
+		comms[i] = perm[ci]
+	}
+	ix := &Membership{offsets: prev.offsets, comms: comms, k: prev.k}
+	// Membership lists are short (a node's overlap degree), so insertion
+	// sort beats sort.Slice's interface overhead here.
+	for v, n := 0, ix.N(); v < n; v++ {
+		lst := comms[ix.offsets[v]:ix.offsets[v+1]]
+		for i := 1; i < len(lst); i++ {
+			for j := i; j > 0 && lst[j] < lst[j-1]; j-- {
+				lst[j], lst[j-1] = lst[j-1], lst[j]
+			}
+		}
+	}
+	return ix
+}
+
 // N returns the number of nodes the index was built for.
 func (ix *Membership) N() int { return len(ix.offsets) - 1 }
 
@@ -79,11 +120,12 @@ func (ix *Membership) Covered(v int32) bool { return ix.Degree(v) > 0 }
 
 // CoverageCounts tallies membership over the nodes for which keep
 // returns true (every node when keep is nil): how many belong to at
-// least one community, how many to more than one, and the total number
-// of memberships. The shard router aggregates global coverage from
-// per-shard indexes with it, keeping only each shard's owned (non-ghost)
-// nodes so boundary nodes are counted exactly once.
-func (ix *Membership) CoverageCounts(keep func(int32) bool) (covered, overlapped int, memberships int64) {
+// least one community, how many to more than one, the total number of
+// memberships and the largest Degree among them. The shard layer
+// derives its owned-only Meta tallies from it, keeping only each
+// shard's owned (non-ghost) nodes so boundary nodes are counted exactly
+// once.
+func (ix *Membership) CoverageCounts(keep func(int32) bool) (covered, overlapped int, memberships int64, maxDegree int) {
 	for v := int32(0); int(v) < ix.N(); v++ {
 		if keep != nil && !keep(v) {
 			continue
@@ -96,8 +138,9 @@ func (ix *Membership) CoverageCounts(keep func(int32) bool) (covered, overlapped
 		if d > 1 {
 			overlapped++
 		}
+		maxDegree = max(maxDegree, int(d))
 	}
-	return covered, overlapped, memberships
+	return covered, overlapped, memberships, maxDegree
 }
 
 // Common returns the ascending community indices containing every one

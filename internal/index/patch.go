@@ -26,45 +26,11 @@ import (
 // Pure growth — nothing removed, nothing added, larger n — extends the
 // offsets table and shares prev's membership array outright; a nil/nil
 // patch at the same n returns prev itself.
-// Permute returns the index relabeled by a community permutation —
-// perm[old] is the new id of community old, as produced by
-// cover.SortPerm on the indexed cover. Offsets are shared with prev
-// (every node keeps the same membership count); only the id payload is
-// remapped, and each node's short list re-sorted to restore the
-// ascending-per-node invariant: O(memberships) total. An identity (or
-// empty) permutation returns prev itself.
-func Permute(prev *Membership, perm []int32) *Membership {
-	if len(perm) != prev.k {
-		panic(fmt.Sprintf("index: Permute got %d ids for %d communities", len(perm), prev.k))
-	}
-	identity := true
-	for i, p := range perm {
-		if int32(i) != p {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		return prev
-	}
-	comms := make([]int32, len(prev.comms))
-	for i, ci := range prev.comms {
-		comms[i] = perm[ci]
-	}
-	ix := &Membership{offsets: prev.offsets, comms: comms, k: prev.k}
-	// Membership lists are short (a node's overlap degree), so insertion
-	// sort beats sort.Slice's interface overhead here.
-	for v, n := 0, ix.N(); v < n; v++ {
-		lst := comms[ix.offsets[v]:ix.offsets[v+1]]
-		for i := 1; i < len(lst); i++ {
-			for j := i; j > 0 && lst[j] < lst[j-1]; j-- {
-				lst[j], lst[j-1] = lst[j-1], lst[j]
-			}
-		}
-	}
-	return ix
-}
-
+//
+// Production no longer calls Patch: every publish builds its index
+// with Build, which is faster at every size measured. It stays only
+// because the benchmark's stage replay times it (the index.patch span);
+// removing that replay (ROADMAP item 20) deletes it.
 func Patch(prev *Membership, removed []bool, added []cover.Community, n int) *Membership {
 	if len(removed) != 0 && len(removed) != prev.k {
 		panic(fmt.Sprintf("index: Patch removed has %d entries for %d communities", len(removed), prev.k))

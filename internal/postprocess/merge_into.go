@@ -30,8 +30,8 @@ import (
 // run's new discoveries. Input slices are never mutated; warm member
 // slices are aliased into the result unless they merge.
 //
-// The returned cover is arranged for index.Patch: cv.Communities[:kept]
-// are the warm communities that survived unchanged, still in ascending
+// The returned cover is in patch order: cv.Communities[:kept] are the
+// warm communities that survived unchanged, still in ascending
 // previous-id order, and cv.Communities[kept:] are new or changed.
 // keptOld lists the unchanged communities' previous-cover ids
 // (ascending). The caller removes every previous id not in keptOld and

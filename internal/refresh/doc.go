@@ -15,12 +15,13 @@
 //   - ModeIncremental — OCA re-seeded only over the dirty region
 //     (mutated endpoints plus members of touched communities, via
 //     core.Options.Restrict), fresh discoveries folded into the
-//     carried cover by postprocess.MergeInto, index.Patch and
-//     cover.PatchStats instead of rebuilds — cost proportional to the
-//     batch, not the graph. The scoped run seeds each dirty node the
-//     carried communities leave uncovered at most once, and stops when
-//     none is left untried (or earlier, on coverage or patience), so
-//     its seed count is bounded by the region it was handed;
+//     carried cover by postprocess.MergeInto — OCA cost proportional to
+//     the batch, not the graph; index and stats are built over the
+//     result, one O(n + memberships) pass. The scoped run seeds each
+//     dirty node the carried communities leave uncovered at most once,
+//     and stops when none is left untried (or earlier, on coverage or
+//     patience), so its seed count is bounded by the region it was
+//     handed;
 //   - ModeFastpath — the batch touched no community and added no
 //     structure: the new graph publishes with the cover carried
 //     pointer-identical and no OCA at all.
@@ -56,14 +57,16 @@
 // # Seams for custom snapshot layers
 //
 // Every publish ends in one call to Config.Assemble, by default the
-// built-in Assemble: handed nil it builds index and stats from scratch
-// (full rebuilds, carry-overs; NewSnapshot is this form), handed a
-// PatchContext describing exactly what the batch changed it patches
-// them from the previous generation's. A layer above sets the hook to
-// wrap the built-in one — the shard layer filters ghost-only
-// communities, calls Assemble, and attaches ownership metadata via
-// Snapshot.Aux — so that layer's derived state is patched in
-// O(|dirty region|) too. SnapshotInfo is the wire-serializable summary
+// built-in Assemble, which builds index and stats from scratch on every
+// mode (NewSnapshot is its nil-PatchContext form) and only shares the
+// previous generation's when handed that generation's own cover at the
+// same node count (the fastpath). A fastpath or incremental publish
+// also hands the hook a PatchContext describing exactly what the batch
+// changed. A layer above sets the hook to wrap the built-in one — the
+// shard layer filters ghost-only communities, calls Assemble, and
+// attaches ownership metadata via Snapshot.Aux — and carries what it
+// can derive from the batch alone forward from the previous
+// generation's. SnapshotInfo is the wire-serializable summary
 // of a generation (with Snapshot.Restore as the receiving half) used by
 // the multi-process shard transport.
 //

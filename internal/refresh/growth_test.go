@@ -4,19 +4,23 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/graph"
+	"repro/internal/index"
 	"repro/internal/spectral"
 )
 
 // TestWorkerGrowsNodeSet verifies the growth path: with MaxNodes above
 // the initial size, added edges naming new ids extend the graph at the
 // next rebuild (intermediate ids materialize as isolated nodes), while
-// ids at or past the cap stay rejected.
+// ids at or past the cap stay rejected. A fastpath publish that grew
+// the node set builds its index and stats afresh, equal to the
+// from-scratch pair over the carried cover.
 func TestWorkerGrowsNodeSet(t *testing.T) {
 	w := newTestWorker(t, Config{MaxNodes: 20})
 	if _, queued, err := w.Enqueue([][2]int32{{0, 12}}, nil); err != nil || queued != 1 {
@@ -42,6 +46,7 @@ func TestWorkerGrowsNodeSet(t *testing.T) {
 	}
 
 	// Removals may name pending-growth nodes within the same batch.
+	prev := snap
 	if _, _, err := w.Enqueue([][2]int32{{1, 15}}, [][2]int32{{15, 1}}); err != nil {
 		t.Fatalf("grow-then-remove batch: %v", err)
 	}
@@ -50,6 +55,23 @@ func TestWorkerGrowsNodeSet(t *testing.T) {
 	}
 	if snap.Graph.N() != 16 || snap.Graph.HasEdge(1, 15) {
 		t.Errorf("grow-then-remove: n=%d HasEdge(1,15)=%v, want 16 nodes without the edge", snap.Graph.N(), snap.Graph.HasEdge(1, 15))
+	}
+
+	// The same growth as a fastpath publish (a patch that removes and
+	// adds nothing), assembled the way a mirror replays it: the carried
+	// cover over the grown graph gets a fresh index and stats.
+	fp := (&Patch{Mode: ModeFastpath, C: prev.C}).Reassemble(prev, snap.Graph, Assemble)
+	if fp.Cover != prev.Cover {
+		t.Fatal("growth fastpath: the cover was not carried")
+	}
+	if fp.Index == prev.Index || fp.Index.N() != 16 {
+		t.Fatalf("growth fastpath: index over %d nodes (shared: %v), want a fresh one over 16", fp.Index.N(), fp.Index == prev.Index)
+	}
+	if want := index.Build(prev.Cover, 16); !reflect.DeepEqual(fp.Index, want) {
+		t.Errorf("growth fastpath: index differs from index.Build over its cover")
+	}
+	if want := prev.Cover.Stats(16); fp.Stats != want {
+		t.Errorf("growth fastpath: stats %+v, want Cover.Stats %+v", fp.Stats, want)
 	}
 
 	// The cap is a hard ceiling; removals never reach unknown ids.
@@ -122,11 +144,11 @@ func TestRederiveDisabledKeepsPinnedC(t *testing.T) {
 
 // TestAssembleHook checks the one assembly hook, Config.Assemble:
 // a full publish hands it no PatchContext, incremental and fastpath
-// publishes hand it one whose Kept/Removed describe the published cover
-// in patch order, and a hook that just calls the built-in Assemble
-// publishes exactly what a hook-less worker fed the same batches does —
-// which is what lets the shard layer wrap the built-in assembler with
-// its ghost filter and ownership metadata.
+// publishes hand it one whose Kept prefix is the carried part of the
+// published cover in patch order, and a hook that just calls the
+// built-in Assemble publishes exactly what a hook-less worker fed the
+// same batches does — which is what lets the shard layer wrap the
+// built-in assembler with its ghost filter and ownership metadata.
 func TestAssembleHook(t *testing.T) {
 	type call struct {
 		pc    *PatchContext
@@ -188,13 +210,11 @@ func TestAssembleHook(t *testing.T) {
 				t.Fatalf("batch %d: pc carries %d adds / %d removes, want %d / %d", i, len(pc.Add), len(pc.Remove), len(b.add), len(b.remove))
 			}
 			// Communities[:Kept] are exactly the previous generation's
-			// communities not flagged Removed, in their previous order.
-			if b.mode == ModeIncremental && len(pc.Removed) != old.Cover.Len() {
-				t.Fatalf("batch %d: Removed has %d flags for %d previous communities", i, len(pc.Removed), old.Cover.Len())
-			}
+			// communities the publish did not remove, in their previous
+			// order.
 			kept := []cover.Community{}
 			for ci, c := range old.Cover.Communities {
-				if pc.Removed == nil || !pc.Removed[ci] {
+				if !slices.Contains(got.Patch.Removed, int32(ci)) {
 					kept = append(kept, c)
 				}
 			}

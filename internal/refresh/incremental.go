@@ -9,8 +9,8 @@ package refresh
 // endpoints plus the members of the communities they touch; OCA is
 // re-seeded over that region alone (core.Options.Restrict), fresh
 // discoveries are folded into the carried cover incrementally
-// (postprocess.MergeInto) and the inverted index and overlap stats are
-// patched (index.Patch, cover.PatchStats) instead of rebuilt.
+// (postprocess.MergeInto), and the inverted index and overlap stats are
+// built over the result (Assemble).
 
 import (
 	"time"
@@ -118,17 +118,13 @@ func dirtyRegion(cv *cover.Cover, touched, touchedComms []int32, n int) []int32 
 
 // PatchContext describes what a fastpath or incremental rebuild
 // changed relative to the previous generation, handed to the assembler
-// (Config.Assemble) so the index, stats and any custom layer's derived
-// state are patched instead of rebuilt.
+// (Config.Assemble): the built-in Assemble reads only Old, to reuse its
+// index and stats when the cover is carried unchanged; a custom layer
+// adjusts its own derived state from it (the shard layer ghost-filters
+// only the fresh communities and carries its edge tallies forward).
 type PatchContext struct {
 	// Old is the previous generation the new cover was derived from.
 	Old *Snapshot
-	// Removed flags the previous generation's communities absent from
-	// the new cover: the ones touched by the batch plus carried
-	// communities that absorbed a fresh discovery during the
-	// incremental merge. Nil on the fastpath (nothing removed). Indexed
-	// by previous community id; suitable for index.Patch.
-	Removed []bool
 	// Kept counts the carried communities: the new cover's
 	// Communities[:Kept] are survivors of the previous generation in
 	// their previous relative order, Communities[Kept:] are fresh. On
@@ -143,8 +139,8 @@ type PatchContext struct {
 
 // patchContext describes a taken batch for the assembler, separating
 // its operations back into add and remove pairs.
-func patchContext(old *Snapshot, removed []bool, kept int, ops []op) *PatchContext {
-	pc := &PatchContext{Old: old, Removed: removed, Kept: kept}
+func patchContext(old *Snapshot, kept int, ops []op) *PatchContext {
+	pc := &PatchContext{Old: old, Kept: kept}
 	for _, o := range ops {
 		if o.del {
 			pc.Remove = append(pc.Remove, [2]int32{o.u, o.v})
@@ -156,12 +152,12 @@ func patchContext(old *Snapshot, removed []bool, kept int, ops []op) *PatchConte
 }
 
 // fastpathSnapshot publishes ng with the previous cover carried over
-// unchanged: no OCA, the index extended (shared outright when the node
-// set did not grow) and the stats reused. The graph still changed, so
-// the assembler is told which edges did.
+// unchanged: no OCA, and the index and stats shared outright when the
+// node set did not grow (built afresh when it did). The graph still
+// changed, so the assembler is told which edges did.
 func (w *Worker) fastpathSnapshot(old *Snapshot, ng *graph.Graph, ops []op, start time.Time) *Snapshot {
 	snap := w.cfg.Assemble(ng, old.Cover, old.Result, old.C, time.Since(start),
-		patchContext(old, nil, old.Cover.Len(), ops))
+		patchContext(old, old.Cover.Len(), ops))
 	snap.RebuildMode = ModeFastpath
 	snap.Patch = diffPatch(old, snap, old.Cover, nil, old.Cover.Len())
 	return snap
@@ -169,8 +165,8 @@ func (w *Worker) fastpathSnapshot(old *Snapshot, ng *graph.Graph, ops []op, star
 
 // incrementalSnapshot runs the dirty-region rebuild: a scoped OCA run
 // seeded only over the dirty region, MergeInto against the carried
-// cover, and index/stats patching. Errors fall back to the caller's
-// carry-over path.
+// cover, and index and stats built over the result. Errors fall back to
+// the caller's carry-over path.
 func (w *Worker) incrementalSnapshot(old *Snapshot, ng *graph.Graph, opt core.Options, ops []op, touched, touchedComms []int32, start time.Time) (*Snapshot, error) {
 	dirty := dirtyRegion(old.Cover, touched, touchedComms, ng.N())
 
@@ -229,7 +225,7 @@ func (w *Worker) incrementalSnapshot(old *Snapshot, ng *graph.Graph, opt core.Op
 	}
 
 	snap := w.cfg.Assemble(ng, cv, res, res.C, time.Since(start),
-		patchContext(old, removedAll, kept, ops))
+		patchContext(old, kept, ops))
 	snap.RebuildMode = ModeIncremental
 	snap.DirtyNodes = len(dirty)
 	snap.Dirty = dirty
@@ -243,13 +239,12 @@ func (w *Worker) incrementalSnapshot(old *Snapshot, ng *graph.Graph, opt core.Op
 // size-sorted order (cover.Less) with the inverted index permuted to
 // match, so incremental generations expose the same deterministic
 // ordering as full rebuilds (core.Run sorts before returning). It must
-// run after all patch-order consumers: index.Patch's kept-prefix
-// contract and the PatchContext both describe the cover in patch
-// order, so sorting is the last assembly step — O(k log k +
-// memberships) against the O(|dirty region|) patch, and only when the
-// order actually changed. The fastpath is exempt: it aliases the
-// previous (already canonical) generation's cover, which must stay
-// immutable.
+// run after all patch-order consumers: the PatchContext's Kept prefix
+// (the shard layer's ghost filter) and the Patch read off the snapshot
+// both describe the cover in patch order, so sorting is the last
+// assembly step — O(k log k + memberships), and only when the order
+// actually changed. The fastpath is exempt: it aliases the previous
+// (already canonical) generation's cover, which must stay immutable.
 func canonicalizeOrder(snap *Snapshot) {
 	if snap.Cover == nil || snap.Index == nil {
 		return
@@ -260,31 +255,4 @@ func canonicalizeOrder(snap *Snapshot) {
 	}
 	snap.Cover.ApplyPerm(perm)
 	snap.Index = index.Permute(snap.Index, perm)
-}
-
-// AffectedNodes lists (once each) the nodes whose membership degree may
-// differ between the previous cover and a patched one: members of
-// removed previous communities (removed is indexed by previous
-// community id; nil removes nothing) and of added ones. It is the node
-// set a stats patch must re-tally (see cover.PatchStats); the shard
-// layer patches its owned-only tallies over the same set.
-func AffectedNodes(oldCv *cover.Cover, removed []bool, added []cover.Community, n int) []int32 {
-	seen := ds.NewBitset(n)
-	var out []int32
-	collect := func(c cover.Community) {
-		for _, v := range c {
-			if v >= 0 && int(v) < n && seen.Add(v) {
-				out = append(out, v)
-			}
-		}
-	}
-	for ci, gone := range removed {
-		if gone {
-			collect(oldCv.Communities[ci])
-		}
-	}
-	for _, c := range added {
-		collect(c)
-	}
-	return out
 }

@@ -87,19 +87,14 @@ func (p *Patch) patchOrder(prev *cover.Cover) *cover.Cover {
 // graph g, the way the publishing worker assembled it: assemble — the
 // worker's Config.Assemble — is handed the cover in patch order, old's
 // survivors then Fresh, with the PatchContext the worker built, and the
-// result is put in canonical order. A receiver holding old so pays for
-// what the publish changed, not for the whole cover. Gen, Seq, mode and
-// dirty count are left to the caller, as Assemble leaves them.
+// result is put in canonical order. A receiver holding old so shares
+// old's index and stats on a fastpath publish, and its assembler can
+// carry forward what it derives from the batch alone. Gen, Seq, mode
+// and dirty count are left to the caller, as Assemble leaves them.
 func (p *Patch) Reassemble(old *Snapshot, g *graph.Graph, assemble func(*graph.Graph, *cover.Cover, *core.Result, float64, time.Duration, *PatchContext) *Snapshot) *Snapshot {
 	pc := &PatchContext{Old: old, Kept: old.Cover.Len() - len(p.Removed), Add: p.Add, Remove: p.Remove}
 	if len(p.Removed) == 0 && len(p.Fresh) == 0 {
 		return assemble(g, old.Cover, nil, p.C, 0, pc) // the fastpath: old's cover, already canonical
-	}
-	if len(p.Removed) > 0 {
-		pc.Removed = make([]bool, old.Cover.Len())
-		for _, id := range p.Removed {
-			pc.Removed[id] = true
-		}
 	}
 	snap := assemble(g, p.patchOrder(old.Cover), nil, p.C, 0, pc)
 	canonicalizeOrder(snap)

@@ -55,8 +55,8 @@ const (
 	ModeFull = "full"
 	// ModeIncremental is a dirty-region rebuild: OCA scoped to the
 	// mutated endpoints and the members of the communities they
-	// touched, fresh discoveries merged into the carried cover and the
-	// index/stats patched instead of rebuilt.
+	// touched, fresh discoveries merged into the carried cover, index
+	// and stats built over the result.
 	ModeIncremental = "incremental"
 	// ModeFastpath published a new graph without running OCA at all:
 	// the batch touched no community (and added no structure), so the
@@ -128,12 +128,12 @@ func NewSnapshot(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, b
 }
 
 // Assemble is the built-in snapshot assembler and the default
-// Config.Assemble. With pc == nil the index and stats are built from
-// scratch (index.Build, Cover.Stats); with a PatchContext they are
-// patched from the previous generation's (index.Patch over the removed
-// and appended communities, cover.PatchStats over AffectedNodes) — cost
-// proportional to what the batch changed. cv must be in patch order:
-// Communities[:pc.Kept] carried, the rest appended. Gen is left zero and
+// Config.Assemble. It builds the index and stats from scratch
+// (index.Build, Cover.Stats) — the one builder every publish uses. The
+// one exception is reuse, not a second builder: handed the previous
+// generation's own cover (pointer-identical, as the fastpath and a
+// no-op Reassemble hand it) at the same node count, it shares the
+// previous generation's immutable Index and Stats. Gen is left zero and
 // RebuildMode is ModeFull until the worker stamps the mode it took.
 func Assemble(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *PatchContext) *Snapshot {
 	snap := &Snapshot{
@@ -146,20 +146,12 @@ func Assemble(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buil
 		BuiltAt:     time.Now(),
 		RebuildMode: ModeFull,
 	}
-	if pc == nil {
-		snap.Index = index.Build(cv, g.N())
-		snap.Stats = cv.Stats(g.N())
+	if pc != nil && cv == pc.Old.Cover && pc.Old.Index.N() == g.N() {
+		snap.Index, snap.Stats = pc.Old.Index, pc.Old.Stats
 		return snap
 	}
-	old, added := pc.Old, cv.Communities[pc.Kept:]
-	snap.Index = index.Patch(old.Index, pc.Removed, added, g.N())
-	snap.Stats = old.Stats
-	if len(pc.Removed) > 0 || len(added) > 0 {
-		// Ids the batch grew past the previous index's range report
-		// Degree 0 there, matching "did not exist, had no memberships".
-		affected := AffectedNodes(old.Cover, pc.Removed, added, g.N())
-		snap.Stats = cover.PatchStats(old.Stats, cv, g.N(), affected, old.Index.Degree, snap.Index.Degree)
-	}
+	snap.Index = index.Build(cv, g.N())
+	snap.Stats = cv.Stats(g.N())
 	return snap
 }
 
@@ -191,16 +183,18 @@ type Config struct {
 	// When a mutation batch touches at most this fraction of the
 	// previous generation's communities, the rebuild runs OCA scoped to
 	// the dirty region (mutated endpoints plus members of touched
-	// communities), merges fresh discoveries into the carried cover
-	// through postprocess.MergeInto and patches the index and stats —
-	// O(|dirty region|) work instead of O(n). Batches touching no
-	// community and adding no edges skip OCA entirely (ModeFastpath).
+	// communities) and merges fresh discoveries into the carried cover
+	// through postprocess.MergeInto — OCA work proportional to the
+	// dirty region instead of the graph; the index and stats are still
+	// built over the whole cover, an O(n + memberships) pass. Batches
+	// touching no community and adding no edges skip OCA entirely
+	// (ModeFastpath).
 	// Above the fraction — or at the default 0 — every rebuild takes
 	// the full path. Ignored when DisableWarmStart or AssignOrphans is
 	// set (both are whole-graph semantics), and a rebuild that
 	// re-derives c always runs full so the cover is scored under one
 	// parameter. Incremental generations publish their covers in the
-	// same canonical size-sorted order as full rebuilds (patched in
+	// same canonical size-sorted order as full rebuilds (assembled in
 	// patch order, then permuted — see cover.Less), so cover ordering
 	// is deterministic across rebuild modes.
 	IncrementalThreshold float64
@@ -212,15 +206,15 @@ type Config struct {
 	// across all rebuilds (the cheap default).
 	RederiveCAfter float64
 	// Assemble, when set, assembles every published Snapshot in place
-	// of the built-in Assemble (the default): from scratch when pc is
-	// nil — full rebuilds and carry-overs — and from a description of
-	// exactly what the batch changed (see PatchContext) on fastpath and
-	// incremental rebuilds, so a custom snapshot layer can patch its
-	// index, stats and metadata in O(|dirty region|) too. The shard
-	// layer filters ghost-only communities and attaches ownership
-	// metadata (Aux) here, calling the built-in Assemble for the rest.
-	// It must leave Gen zero (the worker assigns it) and may not mutate
-	// its inputs; it may ignore pc and assemble from scratch.
+	// of the built-in Assemble (the default). pc is nil on full
+	// rebuilds and carry-overs; on fastpath and incremental rebuilds it
+	// describes exactly what the batch changed (see PatchContext), so a
+	// custom snapshot layer can adjust its own derived state from the
+	// previous generation's. The shard layer filters ghost-only
+	// communities and attaches ownership metadata (Aux) here, calling
+	// the built-in Assemble for the index and stats. It must leave Gen
+	// zero (the worker assigns it) and may not mutate its inputs; it may
+	// ignore pc and assemble from scratch.
 	Assemble func(g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *PatchContext) *Snapshot
 	// LogBatch, when set, is called by Enqueue after a batch passes
 	// validation and the backlog check but before it is queued, with the

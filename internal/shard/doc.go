@@ -25,8 +25,9 @@
 //     on every published generation — all through one
 //     refresh.Config.Assemble hook (Worker.assemble, patch.go) deciding
 //     ownership with one predicate over the current PartitionMap:
-//     from scratch on full rebuilds and epoch changes, patched in
-//     O(|dirty region|) on fastpath/incremental rebuilds.
+//     from scratch on full rebuilds and epoch changes; on
+//     fastpath/incremental rebuilds only the fresh communities are
+//     filtered and the owned node and edge counts move by the batch.
 //   - Backend is the seam the Router fans out over: Worker implements
 //     it in-process, and internal/transport's Client implements it
 //     over the wire (each shard in its own process), shipping

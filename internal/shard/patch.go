@@ -5,16 +5,17 @@ package shard
 // by a worker or rebuilt by a mirror — passes through Assemble, which
 // decides ownership with one predicate (ownsLocal, over the partition
 // map it is given) and uses it to ghost-filter the cover, then lets
-// refresh.Assemble build or patch the index and overlap stats, then
-// attaches the ownership Meta. On the patched path only the fresh
-// communities are filtered: the carried prefix survived the previous
-// generation's filter under the same map, and the incremental merge
-// only unions members into carried communities. That argument needs
-// the map to be the one the previous generation was filtered under,
-// hence the epoch rule: a patched generation inherits its predecessor's
-// map, and when the given map's epoch has moved on the hook ignores the
-// PatchContext and assembles from scratch — O(n+m) once per epoch
-// change per shard.
+// refresh.Assemble build the index and overlap stats, then attaches the
+// ownership Meta. On the patched path only the fresh communities are
+// filtered: the carried prefix survived the previous generation's
+// filter under the same map, and the incremental merge only unions
+// members into carried communities. The Meta's node and edge counts
+// are carried forward by the batch's delta there, sparing buildMeta's
+// pass over every neighbour list. That argument needs the map to be
+// the one the previous generation was filtered under, hence the epoch
+// rule: a patched generation inherits its predecessor's map, and when
+// the given map's epoch has moved on the hook ignores the PatchContext
+// and assembles from scratch — O(n+m) once per epoch change per shard.
 
 import (
 	"time"
@@ -29,8 +30,8 @@ import (
 // shardID under partition map pm with locals the generation's
 // local→global table prefix: drop ghost-only communities, assemble
 // index/stats through refresh.Assemble, attach the shard Meta — built by
-// buildMeta from scratch, or adjusted by patchMeta in O(|batch| +
-// |affected|) when pc describes what changed.
+// buildMeta from scratch, or by patchMeta from the predecessor's when pc
+// describes what changed.
 func Assemble(shardID int, pm *PartitionMap, locals []int32, g *graph.Graph, cv *cover.Cover, res *core.Result, c float64, buildTime time.Duration, pc *refresh.PatchContext) *refresh.Snapshot {
 	owns := ownsLocal(pm, shardID, locals)
 	var oldMeta *Meta
@@ -58,13 +59,15 @@ func (w *Worker) assemble(g *graph.Graph, cv *cover.Cover, res *core.Result, c f
 	return Assemble(w.id, w.pm.Load(), w.localsPrefix(g.N()), g, cv, res, c, buildTime, pc)
 }
 
-// patchMeta adjusts the previous generation's ownership metadata for
-// the batch: O(|batch| + |affected|) instead of buildMeta's O(n + m)
-// rescan, except the rare full membership re-scan when the owned
-// membership maximum may have shrunk (mirroring cover.PatchStats).
-// Shard, K and Map are the predecessor's (see the epoch rule above).
+// patchMeta derives the new generation's ownership metadata from the
+// previous one's and the batch: the owned node and edge counts move by
+// the batch's delta, O(|batch|) instead of buildMeta's O(n + m) pass
+// over every neighbour list, and the membership tallies are read off
+// the built index as buildMeta reads them (kept as they were when the
+// index is the predecessor's own). Shard, K and Map are the
+// predecessor's (see the epoch rule above).
 func patchMeta(oldMeta *Meta, pc *refresh.PatchContext, snap *refresh.Snapshot, locals []int32, owns func(int32) bool) *Meta {
-	old, ng, ix := pc.Old, snap.Graph, snap.Index
+	old, ng := pc.Old, snap.Graph
 	m := *oldMeta
 	m.Locals = locals
 
@@ -117,47 +120,8 @@ func patchMeta(oldMeta *Meta, pc *refresh.PatchContext, snap *refresh.Snapshot, 
 		visit(e[0], e[1])
 	}
 
-	// Membership tallies over the affected owned nodes, mirroring
-	// cover.PatchStats for the owned-only aggregates.
-	maxMayDrop := false
-	for _, v := range refresh.AffectedNodes(old.Cover, pc.Removed, snap.Cover.Communities[pc.Kept:], ng.N()) {
-		if !owns(v) {
-			continue
-		}
-		od, nd := old.Index.Degree(v), ix.Degree(v)
-		if od == nd {
-			continue
-		}
-		m.OwnedMemberships += int64(nd - od)
-		switch {
-		case od == 0 && nd > 0:
-			m.CoveredOwned++
-		case od > 0 && nd == 0:
-			m.CoveredOwned--
-		}
-		switch {
-		case od <= 1 && nd >= 2:
-			m.OverlapOwned++
-		case od >= 2 && nd <= 1:
-			m.OverlapOwned--
-		}
-		if nd > m.MaxMembershipOwned {
-			m.MaxMembershipOwned = nd
-		}
-		if nd < od && od >= oldMeta.MaxMembershipOwned {
-			maxMayDrop = true
-		}
-	}
-	if maxMayDrop {
-		max := 0
-		for l := int32(0); int(l) < ng.N(); l++ {
-			if owns(l) {
-				if d := ix.Degree(l); d > max {
-					max = d
-				}
-			}
-		}
-		m.MaxMembershipOwned = max
+	if snap.Index != old.Index {
+		m.CoveredOwned, m.OverlapOwned, m.OwnedMemberships, m.MaxMembershipOwned = snap.Index.CoverageCounts(owns)
 	}
 	return &m
 }

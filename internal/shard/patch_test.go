@@ -243,7 +243,7 @@ func TestPatchMetaMaxMembershipDrop(t *testing.T) {
 		t.Fatalf("fixture: owned membership maximum = %d, want 2", oldMeta.MaxMembershipOwned)
 	}
 
-	pc := &refresh.PatchContext{Old: old, Removed: []bool{false, true}, Kept: 1}
+	pc := &refresh.PatchContext{Old: old, Kept: 1}
 	snap := refresh.Assemble(g, cover.NewCover(oldCv.Communities[:1]), nil, 0.5, 0, pc)
 	got, want := patchMeta(oldMeta, pc, snap, locals, ownsLocal(pm, 0, locals)), meta(snap)
 	if !reflect.DeepEqual(got, want) {
@@ -305,6 +305,9 @@ func TestShardPatchFastpath(t *testing.T) {
 		}
 		if snap.Cover != before[s].Cover {
 			t.Fatalf("shard %d: fastpath rebuilt the cover, want the carried pointer", s)
+		}
+		if snap.Index != before[s].Index {
+			t.Fatalf("shard %d: fastpath rebuilt the index, want the predecessor's pointer", s)
 		}
 		verifyDerivedState(t, w)
 	}

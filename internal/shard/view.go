@@ -63,7 +63,6 @@ func buildMeta(shardID int, pm *PartitionMap, g *graph.Graph, ix *index.Membersh
 	for l := range owned {
 		if owned[l] = owns(int32(l)); owned[l] {
 			m.OwnedNodes++
-			m.MaxMembershipOwned = max(m.MaxMembershipOwned, ix.Degree(int32(l)))
 		}
 	}
 	// An edge is accountable here when its smaller-global-id endpoint is
@@ -79,7 +78,7 @@ func buildMeta(shardID int, pm *PartitionMap, g *graph.Graph, ix *index.Membersh
 			m.OwnedEdges += int64(uint64(gu-int64(locals[v])) >> 63) // 1 when locals[v] > gu, without a branch to mispredict
 		}
 	}
-	m.CoveredOwned, m.OverlapOwned, m.OwnedMemberships = ix.CoverageCounts(func(l int32) bool { return owned[l] })
+	m.CoveredOwned, m.OverlapOwned, m.OwnedMemberships, m.MaxMembershipOwned = ix.CoverageCounts(func(l int32) bool { return owned[l] })
 	return m
 }
 

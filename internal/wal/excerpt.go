@@ -55,8 +55,8 @@ func NewStream(baseGen uint64) *Stream { return &Stream{buf: appendHeader(nil, b
 
 // AppendEdgeBatch frames b as Log.AppendEdgeBatch does.
 func (s *Stream) AppendEdgeBatch(b EdgeBatch) error {
-	if n := 24 + 4*int64(len(b.NewLocals)) + 8*int64(len(b.Add)+len(b.Remove)); n > MaxRecordBytes {
-		return fmt.Errorf("wal: edge batch seq %d is %d bytes, over the %d-byte record cap", b.Seq, n, MaxRecordBytes)
+	if err := b.checkCap(); err != nil {
+		return err
 	}
 	s.buf = appendFrame(s.buf, RecEdgeBatch, b.encode())
 	return nil

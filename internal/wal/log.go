@@ -65,8 +65,15 @@ func (l *Log) write(frame []byte) error {
 	return nil
 }
 
-// AppendEdgeBatch appends one accepted mutation batch.
+// AppendEdgeBatch appends one accepted mutation batch. A batch whose
+// payload would exceed MaxRecordBytes is refused with an error and
+// nothing is written: ReadLog would take its frame for a torn tail and
+// drop it with every record after it, so the batch must not be
+// acknowledged.
 func (l *Log) AppendEdgeBatch(b EdgeBatch) error {
+	if err := b.checkCap(); err != nil {
+		return err
+	}
 	return l.Append(RecEdgeBatch, b.encode())
 }
 

@@ -128,10 +128,23 @@ type CoverPatch struct {
 // mode, carried, c, dirty, nRemoved, nFresh.
 const coverPatchHead = 8 + 8 + 1 + 1 + 8 + 4 + 4 + 4
 
+// encodedLen is the payload size encode would produce, computed without
+// building it so an over-cap batch costs nothing.
+func (b EdgeBatch) encodedLen() int64 {
+	return 24 + 4*int64(len(b.NewLocals)) + 8*int64(len(b.Add)+len(b.Remove))
+}
+
+// checkCap refuses a batch whose record ReadLog would not read back.
+func (b EdgeBatch) checkCap() error {
+	if n := b.encodedLen(); n > MaxRecordBytes {
+		return fmt.Errorf("wal: edge batch seq %d is %d bytes, over the %d-byte record cap", b.Seq, n, MaxRecordBytes)
+	}
+	return nil
+}
+
 // encode encodes b as a RecEdgeBatch payload.
 func (b EdgeBatch) encode() []byte {
-	n := 8 + 4 + 4 + 4 + 4 + 4*len(b.NewLocals) + 8*len(b.Add) + 8*len(b.Remove)
-	out := make([]byte, 0, n)
+	out := make([]byte, 0, b.encodedLen())
 	out = binary.LittleEndian.AppendUint64(out, b.Seq)
 	out = binary.LittleEndian.AppendUint32(out, uint32(b.Base))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.NewLocals)))

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -251,6 +252,96 @@ func TestPatchedPublishRoundTrip(t *testing.T) {
 		if n := len(got); n != 1 && !(n == 2 && got[1].Type == RecCoverPatch) {
 			t.Fatalf("cut at %d surfaced %d records, last type %d: a marker without its patch", cut, n, got[n-1].Type)
 		}
+	}
+}
+
+// TestEdgeBatchEncodedLen: encodedLen is the length encode produces,
+// over random batches — empty ones and every field empty in turn
+// included.
+func TestEdgeBatchEncodedLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	pairs := func() [][2]int32 {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		out := make([][2]int32, rng.Intn(40))
+		for i := range out {
+			out[i] = [2]int32{rng.Int31(), rng.Int31()}
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		b := EdgeBatch{Seq: rng.Uint64(), Base: rng.Intn(1 << 20), Add: pairs(), Remove: pairs()}
+		if rng.Intn(2) == 0 {
+			b.NewLocals = make([]int32, rng.Intn(40))
+		}
+		if got, want := b.encodedLen(), int64(len(b.encode())); got != want {
+			t.Fatalf("trial %d: encodedLen = %d, encode wrote %d bytes", trial, got, want)
+		}
+	}
+}
+
+// TestOversizeBatchIsRefused: a batch whose record ReadLog would take
+// for a torn tail is refused with an error and leaves the log file
+// byte-identical, so nothing is acknowledged that recovery would drop,
+// and every record the log did accept reads back; a Stream refuses the
+// batch the same way.
+func TestOversizeBatchIsRefused(t *testing.T) {
+	huge := EdgeBatch{Seq: 2, Add: make([][2]int32, (MaxRecordBytes-24)/8+1)}
+	if huge.encodedLen() <= MaxRecordBytes {
+		t.Fatalf("fixture: %d bytes is within the cap", huge.encodedLen())
+	}
+	path := filepath.Join(t.TempDir(), "wal-0000000000000001.ocawal")
+	l, err := Create(path, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.AppendEdgeBatch(testBatch(1)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendEdgeBatch(huge); err == nil {
+		t.Fatal("over-cap batch appended without error")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) || l.Size() != int64(len(before)) {
+		t.Fatalf("refused append changed the log: %d bytes (Size %d), want %d", len(after), l.Size(), len(before))
+	}
+	// Every record the log accepted, before and after the refusal, reads
+	// back.
+	if err := l.AppendEdgeBatch(testBatch(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendPublish(Publish{Gen: 2, Seq: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, _, err := ReadLogFile(path)
+	if err != nil {
+		t.Fatalf("ReadLogFile: %v", err)
+	}
+	x, err := Scan(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []EdgeBatch{testBatch(1), testBatch(3)}; !reflect.DeepEqual(x.Tail, want) || len(x.Publishes) != 1 {
+		t.Fatalf("read back %d batches and %d publishes, want the 2 accepted batches and 1 publish", len(x.Tail), len(x.Publishes))
+	}
+	s := NewStream(1)
+	if err := s.AppendEdgeBatch(huge); err == nil {
+		t.Error("stream framed an over-cap batch")
+	}
+	if len(s.Bytes()) != headerSize {
+		t.Errorf("stream holds %d bytes after the refusal, want the %d-byte header", len(s.Bytes()), headerSize)
 	}
 }
 
